@@ -19,7 +19,7 @@ exactly unit norm in every case, and for n >= m they are exactly
 orthonormal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,25 +116,11 @@ class HadamardCodebook:
     m: int
     row_ids: np.ndarray  # Sylvester row indices kept, length min(n, m)
     scale: float
-    _dense: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def orthonormal_columns(self):
         """True when C.T @ C is exactly the identity (n >= m)."""
         return self.n >= self.m
-
-    def dense(self):
-        """Materialize C as an (n, m) array (cached)."""
-        if not self._dense:
-            active = len(self.row_ids)
-            basis = np.zeros((active, self.m))
-            basis[np.arange(active), self.row_ids] = 1.0
-            mat = fwht(basis) * self.scale  # row j of H is fwht(e_j)
-            if self.n > self.m:
-                mat = np.vstack([mat, np.zeros((self.n - self.m, self.m))])
-            mat.setflags(write=False)
-            self._dense.append(mat)
-        return self._dense[0]
 
 
 # Fixed entropy for the row-subset draw: every codebook with the same (n, m)

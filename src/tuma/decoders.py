@@ -24,10 +24,11 @@ carrying a report built from the last finite estimate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .scenario import _require
-from .codebooks import adjoint, apply, sq_adjoint, sq_apply
+from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
 from .denoiser import posterior_moments
 
 ALGORITHMS = ("amp", "scalar_amp", "ep")
@@ -255,30 +256,56 @@ def scalar_amp_decode(received, cb, prior, options=None):
     return loop.report()
 
 
-def _ep_projection(cb, xi1, eta1, lin, sigma2):
+def _ep_projection(cb, xor, xi1, eta1, lin, sigma2):
     """Marginal variances/means of N(mu1, Xi1) x N(y'; C k, sigma2 I).
 
-    lin is the likelihood's linear natural parameter C^T y' / sigma2.  Uses
-    the Woodbury identity
+    lin is the likelihood's linear natural parameter C^T y' / sigma2.  When
+    the columns of C are exactly orthonormal (n >= m) the posterior
+    covariance is diagonal and everything is elementwise.  Otherwise the
+    Woodbury identity
     (Xi1^{-1} + C^T C / sigma2)^{-1}
-        = Xi1 - Xi1 C^T (sigma2 I + C Xi1 C^T)^{-1} C Xi1,
-    Cholesky-factored on the n side; when the columns of C are exactly
-    orthonormal (n >= m) the posterior covariance is diagonal and everything
-    is elementwise.
+        = Xi1 - Xi1 C^T S^{-1} C Xi1,   S = sigma2 I + C Xi1 C^T,
+    moves the work to the n side, and C is never materialized: with
+    c_a the kept Sylvester rows r_a and H[p] H[q] = H[p XOR q] elementwise,
+
+        S[a, b]           = sigma2 [a == b] + scale^2 fwht(xi1)[r_a XOR r_b]
+        c_i^T S^{-1} c_i  = scale^2 fwht(g)[i],
+        g                 = bincount(r_a XOR r_b, weights=S^{-1}[a, b]),
+
+    so S is one FWHT plus a gather through xor (the n x n table of
+    r_a XOR r_b, built once per decode) and the variance diagonal is one
+    more FWHT.  The mean is w - xi1 C^T S^{-1} C w with w = xi1 (eta1 + lin).
+    S^{-1} comes from LAPACK potri on the Cholesky factor.  Each call costs
+    O(n^3 + m log m) time and O(n^2 + m) memory.  A factorization that
+    finds S not positive definite raises numpy.linalg.LinAlgError.
     """
     if cb.orthonormal_columns:
         xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
         mu0_hat = xi0_hat * (eta1 + lin)
         return xi0_hat, mu0_hat
-    dense = cb.dense()
-    s_mat = (dense * xi1) @ dense.T
+    scale2 = cb.scale**2
+    s_mat = (scale2 * fwht(xi1))[xor]
     s_mat[np.diag_indices_from(s_mat)] += sigma2
-    chol = cholesky(s_mat, lower=True)
-    half = solve_triangular(chol, dense, lower=True)
-    xi0_hat = xi1 - xi1**2 * np.einsum("ji,ji->i", half, half)
-    w = xi1 * (eta1 + lin)
-    u = cho_solve((chol, True), dense @ w)
-    mu0_hat = w - xi1 * (dense.T @ u)
+    chol, info = dpotrf(s_mat, lower=1)
+    if info == 0:
+        s_inv, info = dpotri(chol, lower=1)  # lower triangle only
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"EP projection matrix is not positive definite (info={info})")
+    # xor and S^{-1} are symmetric and xor's diagonal is 0, so g is twice
+    # the lower triangle's weighted count less the trace at g[0], and
+    # fwht(e_0) is all ones.  Arithmetic on m-vectors is in place because
+    # at large m each temporary costs O(m) memory.
+    xi0_hat = fwht(np.bincount(xor.ravel(), weights=s_inv.ravel(),
+                               minlength=cb.m))
+    xi0_hat *= -2.0 * scale2
+    xi0_hat += scale2 * np.trace(s_inv)
+    xi0_hat *= xi1**2
+    xi0_hat += xi1
+    mu0_hat = xi1 * (eta1 + lin)  # w
+    correction = adjoint(cb, cho_solve((chol, True), apply(cb, mu0_hat)))
+    correction *= xi1
+    mu0_hat -= correction
     return xi0_hat, mu0_hat
 
 
@@ -290,14 +317,26 @@ def ep_decode(received, cb, prior, options=None):
     the full posterior.  Per iteration: exact Gaussian projection of sites
     times likelihood, cavity update by natural-parameter subtraction, tilted
     moments of the cavity-tilted count prior, then the site update, damped
-    in natural parameters.  Two safeguards keep the natural parameters in
-    range: a site update whose precision would be non-positive resets that
-    site to (near-)flat, and a cavity precision that comes out non-positive
-    (possible only through roundoff, since the projected variance never
-    exceeds the site variance) is clamped to near-flat as well.  Clamping
-    either to a near-delta spike instead is an absorbing state that pins
-    the coordinate at zero, so the floor is reserved for true spikes coming
-    out of the moment match.
+    in natural parameters.
+
+    For n < m the projection works on the n x n Woodbury system
+    S = sigma2 I + C Xi1 C^T.  Rows of a Sylvester-Hadamard codebook
+    multiply by XOR of their indices, so S[a, b] = sigma2 [a == b] +
+    scale^2 fwht(xi1)[r_a XOR r_b]: one FWHT and a gather through the
+    r_a XOR r_b table, which is built once per decode (see _ep_projection).
+    An iteration costs O(n^3 + m log m) time and O(n^2 + m) memory; no
+    n x m matrix is ever formed.  For n >= m the projection is elementwise.
+    A projection whose S fails to factor as positive definite raises
+    DecoderDiverged, like any other non-finite state.
+
+    Two safeguards keep the natural parameters in range: a site update
+    whose precision would be non-positive resets that site to (near-)flat,
+    and a cavity precision that comes out non-positive (possible only
+    through roundoff, since the projected variance never exceeds the site
+    variance) is clamped to near-flat as well.  Clamping either to a
+    near-delta spike instead is an absorbing state that pins the coordinate
+    at zero, so the floor is reserved for true spikes coming out of the
+    moment match.
     """
     opts = options or DecoderOptions(algorithm="ep")
     npw = cb.n * received.power
@@ -307,6 +346,8 @@ def ep_decode(received, cb, prior, options=None):
     damp = opts.ep_damping
 
     lin = snp * adjoint(cb, received.y)  # C^T y' / sigma2 = sqrt(nP) C^T y
+    xor = (None if cb.orthonormal_columns
+           else np.bitwise_xor.outer(cb.row_ids, cb.row_ids))
     var0 = np.clip(prior.var, lo, hi)
     lam1 = np.full(cb.m, 1.0 / var0)
     eta1 = np.full(cb.m, prior.mean / var0)
@@ -315,7 +356,11 @@ def ep_decode(received, cb, prior, options=None):
         loop.iterations += 1
         # Gaussian projection of sites x likelihood
         xi1 = np.clip(1.0 / lam1, lo, hi)
-        xi0_hat, mu0_hat = _ep_projection(cb, xi1, eta1, lin, sigma2)
+        try:
+            xi0_hat, mu0_hat = _ep_projection(cb, xor, xi1, eta1, lin,
+                                              sigma2)
+        except np.linalg.LinAlgError as exc:
+            raise loop.diverged() from exc
         loop.finite_or_raise(xi0_hat, mu0_hat)
         xi0_hat = np.clip(xi0_hat, lo, hi)
         # cavity update: remove each site from its marginal

@@ -7,6 +7,9 @@ trade speed for being obviously correct on small instances.
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+
+from tuma.codebooks import fwht
 
 
 def transport_vertex_oracle(a, b, cost):
@@ -44,3 +47,39 @@ def transport_vertex_oracle(a, b, cost):
     feasible = np.all(solutions >= -1e-9, axis=1)
     objectives = (cost.ravel()[bases] * solutions).sum(axis=1)
     return float(objectives[feasible].min())
+
+
+def dense_codebook(cb):
+    """Materialize a HadamardCodebook as its (n, m) matrix C.
+
+    Row j of the Sylvester matrix is fwht(e_j), so the kept rows are the
+    transform of a basis block, scaled; for n > m the m x m matrix is
+    zero-padded to n rows.
+    """
+    active = len(cb.row_ids)
+    basis = np.zeros((active, cb.m))
+    basis[np.arange(active), cb.row_ids] = 1.0
+    mat = fwht(basis) * cb.scale
+    if cb.n > cb.m:
+        mat = np.vstack([mat, np.zeros((cb.n - cb.m, cb.m))])
+    return mat
+
+
+def dense_ep_projection(cb, xi1, eta1, lin, sigma2):
+    """EP's Gaussian projection through the dense Woodbury identity.
+
+    (Xi1^{-1} + C^T C / sigma2)^{-1}
+        = Xi1 - Xi1 C^T (sigma2 I + C Xi1 C^T)^{-1} C Xi1,
+    Cholesky-factored on the n side with C materialized.  Returns the
+    marginal variances and means, as tuma.decoders._ep_projection does.
+    """
+    dense = dense_codebook(cb)
+    s_mat = (dense * xi1) @ dense.T
+    s_mat[np.diag_indices_from(s_mat)] += sigma2
+    chol = cholesky(s_mat, lower=True)
+    half = solve_triangular(chol, dense, lower=True)
+    xi0_hat = xi1 - xi1**2 * np.einsum("ji,ji->i", half, half)
+    w = xi1 * (eta1 + lin)
+    u = cho_solve((chol, True), dense @ w)
+    mu0_hat = w - xi1 * (dense.T @ u)
+    return xi0_hat, mu0_hat

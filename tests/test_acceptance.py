@@ -30,7 +30,7 @@ from scipy.linalg import hadamard as dense_hadamard
 from scipy.spatial.distance import cdist
 
 from conftest import record_criterion
-from oracles import transport_vertex_oracle
+from oracles import dense_codebook, transport_vertex_oracle
 from tuma import (DecoderOptions, DiscreteMeasure, SweepSpec, SystemConfig,
                   decode, fwht, grid_codebook, hadamard_codebook,
                   multiplicity_prior, posterior_mean_deriv, posterior_moments,
@@ -292,7 +292,7 @@ def test_criterion_7_transform_correctness():
             shapes.append((size // 2 + 1, size))
         for n, m in shapes:
             cb = hadamard_codebook(n, m)
-            dense = cb.dense()
+            dense = dense_codebook(cb)
             v = rng.standard_normal(m)
             z = rng.standard_normal(n)
             apply_gap = np.abs(apply(cb, v) - dense @ v).max()
@@ -351,7 +351,7 @@ def test_criterion_8_ep_exactness_on_orthogonal_systems():
                                         DecoderOptions(algorithm="ep",
                                                        max_iters=50))
                         exact = exhaustive_posterior_mean(
-                            received, cb.dense(), prior.pmf, ka, m)
+                            received, dense_codebook(cb), prior.pmf, ka, m)
                         worst = max(worst,
                                     float(np.abs(report.k_soft - exact).max()))
     passed = worst <= 1e-2

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import hadamard as dense_hadamard
 from scipy.spatial.distance import cdist
 
+from oracles import dense_codebook
 from tuma import (ConfigError, adjoint, apply, fwht, grid_codebook,
                   hadamard_codebook, quantize, sq_adjoint, sq_apply)
 
@@ -14,7 +15,7 @@ GEOMETRIES = [(2, 2), (2, 4), (3, 4), (4, 4), (2, 8), (5, 8), (8, 8),
 
 
 def _dense_from_ops(cb):
-    """Materialize C column by column through apply (independent of .dense)."""
+    """Materialize C column by column through apply, not via dense_codebook."""
     eye = np.eye(cb.m)
     return np.column_stack([apply(cb, eye[j]) for j in range(cb.m)])
 
@@ -134,12 +135,12 @@ def test_codebook_truncated_invariants():
 
 @pytest.mark.parametrize("n,m", [(2, 4), (5, 8), (12, 16), (250, 1024)])
 def test_codebook_columns_stay_distinct(n, m):
-    dense = hadamard_codebook(n, m).dense()
+    dense = dense_codebook(hadamard_codebook(n, m))
     assert np.unique(dense.T, axis=0).shape[0] == m
 
 
 def test_codebook_coherence_is_moderate():
-    dense = hadamard_codebook(250, 1024).dense()
+    dense = dense_codebook(hadamard_codebook(250, 1024))
     gram = dense.T @ dense
     off = np.abs(gram - np.diag(np.diag(gram))).max()
     assert off < 0.3  # equal columns would reach 1.0
@@ -170,7 +171,7 @@ def test_codebook_rejects_bad_sizes():
 @pytest.mark.parametrize("n,m", GEOMETRIES)
 def test_apply_and_adjoint_match_dense(n, m):
     cb = hadamard_codebook(n, m)
-    dense = cb.dense()
+    dense = dense_codebook(cb)
     rng = np.random.default_rng(n * 100 + m)
     v = rng.standard_normal(m)
     z = rng.standard_normal(n)
@@ -190,7 +191,7 @@ def test_adjoint_identity(n, m):
 @pytest.mark.parametrize("n,m", GEOMETRIES)
 def test_squared_products_match_dense(n, m):
     cb = hadamard_codebook(n, m)
-    sq = cb.dense() ** 2
+    sq = dense_codebook(cb) ** 2
     rng = np.random.default_rng(n * 300 + m)
     v = rng.standard_normal(m)
     z = rng.standard_normal(n)

@@ -6,17 +6,23 @@ wiring, the scaling between the channel and the rescaled model, or the
 correction terms shows up as a mismatch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import tuma.decoders
+from oracles import dense_codebook, dense_ep_projection
 from tuma import (ConfigError, DecoderDiverged, DecoderOptions, amp_decode,
                   decode, ep_decode, estimated_type, grid_codebook,
                   hadamard_codebook, multiplicity_prior, posterior_moments,
                   round_estimate, scalar_amp_decode, transmit, trial_rng)
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
 
-CLAMP_LO = 1e-12
+CLAMP_LO, CLAMP_HI = DecoderOptions().variance_clamp
+EPS = np.finfo(float).eps
 
 
 def make_instance(n, m, ka, ma, snr_db, seed, noiseless=False):
@@ -188,6 +194,33 @@ def test_divergence_raises_with_last_finite_report(algorithm, monkeypatch):
     assert np.all(np.isfinite(report.k_hat))
 
 
+@pytest.mark.parametrize("factorization", ["dpotrf", "dpotri"])
+def test_ep_non_positive_definite_projection_raises_diverged(factorization,
+                                                             monkeypatch):
+    # LAPACK reports failure through info > 0, not an exception; the second
+    # projection's factorization is made to report it
+    cb, prior, _, received = make_instance(12, 32, 5, 3, 0.0, seed=65)
+    options = DecoderOptions(algorithm="ep", max_iters=5, early_stop=False)
+    first = ep_decode(received, cb, prior,
+                      DecoderOptions(algorithm="ep", max_iters=1))
+    real = getattr(tuma.decoders, factorization)
+    calls = []
+
+    def fails_second_time(mat, lower=0):
+        calls.append(1)
+        out, info = real(mat, lower=lower)
+        return out, (info if len(calls) == 1 else 7)
+
+    monkeypatch.setattr(tuma.decoders, factorization, fails_second_time)
+    with pytest.raises(DecoderDiverged) as excinfo:
+        ep_decode(received, cb, prior, options)
+    report = excinfo.value.report
+    assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+    assert report.diverged and report.iterations_run == 2
+    assert np.array_equal(report.k_soft, first.k_soft)
+    assert np.array_equal(report.k_hat, first.k_hat)
+
+
 # ---------------------------------------------------------------------------
 # hand-checked update rules
 
@@ -227,8 +260,36 @@ def scalar_amp_reference(received, dense, prior, iterations):
         scaled = (ys - z) / (sigma2 + v)
         xi = 1.0 / (squared.T @ (1.0 / (sigma2 + v)))
         r = k + xi * (dense.T @ scaled)
-        xi = np.clip(xi, CLAMP_LO, 1e12)
+        xi = np.clip(xi, CLAMP_LO, CLAMP_HI)
         k, v_soft = posterior_moments(r, xi, prior)
+    return k
+
+
+def ep_reference(received, cb, prior, iterations, damping=0.3):
+    """The EP site recursion, written out with the dense projection."""
+    m = cb.m
+    npw = cb.n * received.power
+    sigma2 = 1.0 / npw
+    lin = dense_codebook(cb).T @ (received.y / np.sqrt(npw)) / sigma2
+    var0 = np.clip(prior.var, CLAMP_LO, CLAMP_HI)
+    lam1 = np.full(m, 1.0 / var0)
+    eta1 = np.full(m, prior.mean / var0)
+    for _ in range(iterations):
+        xi1 = np.clip(1.0 / lam1, CLAMP_LO, CLAMP_HI)
+        xi_hat, mu_hat = dense_ep_projection(cb, xi1, eta1, lin, sigma2)
+        xi_hat = np.clip(xi_hat, CLAMP_LO, CLAMP_HI)
+        xi0 = 1.0 / np.clip(1.0 / xi_hat - lam1, 1.0 / CLAMP_HI,
+                            1.0 / CLAMP_LO)
+        mu0 = xi0 * (mu_hat / xi_hat - eta1)
+        k, v = posterior_moments(mu0, xi0, prior)
+        v = np.clip(v, CLAMP_LO, CLAMP_HI)
+        lam_site = 1.0 / v - 1.0 / xi0
+        valid = lam_site > 0
+        lam_site = np.where(valid, lam_site, 1.0 / CLAMP_HI)
+        eta_site = np.where(valid, k / v - mu0 / xi0, 0.0)
+        lam1 = np.clip((1.0 - damping) * lam_site + damping * lam1,
+                       1.0 / CLAMP_HI, 1.0 / CLAMP_LO)
+        eta1 = (1.0 - damping) * eta_site + damping * eta1
     return k
 
 
@@ -238,7 +299,7 @@ def test_amp_iterations_match_dense_reference(n, m, iterations):
     cb, prior, _, received = make_instance(n, m, 3, 2, 0.0, seed=67)
     report = amp_decode(received, cb, prior,
                         DecoderOptions(max_iters=iterations))
-    reference = amp_reference(received, cb.dense(), prior, iterations)
+    reference = amp_reference(received, dense_codebook(cb), prior, iterations)
     assert report.iterations_run == iterations
     assert np.abs(report.k_soft - reference).max() < 1e-10
 
@@ -249,9 +310,30 @@ def test_scalar_amp_iterations_match_dense_reference(n, m, iterations):
     cb, prior, _, received = make_instance(n, m, 3, 2, 0.0, seed=71)
     options = DecoderOptions(algorithm="scalar_amp", max_iters=iterations)
     report = scalar_amp_decode(received, cb, prior, options)
-    reference = scalar_amp_reference(received, cb.dense(), prior, iterations)
+    reference = scalar_amp_reference(received, dense_codebook(cb), prior,
+                                     iterations)
     assert report.iterations_run == iterations
     assert np.abs(report.k_soft - reference).max() < 1e-10
+
+
+# On these noisy instances EP's site recursion amplifies a roundoff-level
+# change in the projection about tenfold per iteration from the fourth on
+# (the XOR and dense projections differ by ~1e-14 after two iterations and
+# by up to 2e-6 after ten), so the full ten-iteration budget is held to
+# 1e-5 and the first two iterations to 1e-12.
+@pytest.mark.parametrize("n,m,ka,ma,snr_db", [(12, 32, 5, 3, 0.0),
+                                              (60, 256, 20, 10, -6.0)])
+@pytest.mark.parametrize("iterations,tol", [(2, 1e-12), (10, 1e-5)])
+def test_ep_iterations_match_dense_reference(n, m, ka, ma, snr_db,
+                                             iterations, tol):
+    cb, prior, _, received = make_instance(n, m, ka, ma, snr_db, seed=89)
+    options = DecoderOptions(algorithm="ep", max_iters=iterations,
+                             early_stop=False)
+    report = ep_decode(received, cb, prior, options)
+    reference = ep_reference(received, cb, prior, iterations,
+                             options.ep_damping)
+    assert report.iterations_run == iterations
+    assert np.abs(report.k_soft - reference).max() < tol
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +364,7 @@ def product_support(ka, m):
 def test_ep_matches_exhaustive_posterior_two_messages():
     cb, prior, _, received = make_instance(2, 2, 1, 1, 0.0, seed=73)
     report = ep_decode(received, cb, prior, DecoderOptions(max_iters=50))
-    exact = enumerate_posterior_mean(received, cb.dense(), prior,
+    exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
                                      product_support(1, 2))
     assert np.abs(report.k_soft - exact).max() < 1e-6
 
@@ -290,7 +372,7 @@ def test_ep_matches_exhaustive_posterior_two_messages():
 def test_ep_matches_exhaustive_posterior_four_messages():
     cb, prior, _, received = make_instance(4, 4, 3, 2, 0.0, seed=79)
     report = ep_decode(received, cb, prior, DecoderOptions(max_iters=50))
-    exact = enumerate_posterior_mean(received, cb.dense(), prior,
+    exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
                                      product_support(3, 4))
     assert np.abs(report.k_soft - exact).max() < 1e-6
 
@@ -300,7 +382,93 @@ def test_ep_high_snr_matches_constrained_enumeration():
     # the per-message model and the constrained one give the same answer
     cb, prior, k, received = make_instance(2, 2, 1, 1, 12.0, seed=83)
     report = ep_decode(received, cb, prior, DecoderOptions(max_iters=50))
-    exact = enumerate_posterior_mean(received, cb.dense(), prior,
+    exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
                                      [(1, 0), (0, 1)])
     assert np.abs(report.k_soft - exact).max() < 1e-2
     assert np.array_equal(report.k_hat, k)
+
+
+# ---------------------------------------------------------------------------
+# structured EP projection against the dense Woodbury oracle
+
+
+def xor_table(cb):
+    return np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
+
+
+def projection_error_scale(cb, xi1, w, sigma2):
+    """Per-coordinate forward-error scale of the Woodbury projection.
+
+    xi0 = xi1 - xi1^2 c_i^T S^{-1} c_i rounds at eps xi1 in the subtraction,
+    and the quadratic form inherits the forward error of S^{-1}, about
+    eps kappa(S) / lambda_min(S) for a unit-norm column.  The mean
+    w - xi1 C^T S^{-1} C w likewise rounds at eps |w| and carries
+    eps kappa(S) ||C w|| / lambda_min(S), with ||C w|| <= ||w||_1 since
+    every entry of C is +-1/sqrt(n).  Both the fast and the dense path obey
+    these scales, so a correct fast path differs from the oracle by a small
+    multiple of them.
+    """
+    dense = dense_codebook(cb)
+    eig = np.linalg.eigvalsh((dense * xi1) @ dense.T + sigma2 * np.eye(cb.n))
+    growth = eig[-1] / eig[0] ** 2  # kappa(S) / lambda_min(S)
+    var_scale = EPS * (xi1 + growth * xi1**2)
+    mean_scale = EPS * (np.abs(w) + growth * xi1 * np.abs(w).sum())
+    return var_scale, mean_scale
+
+
+@st.composite
+def truncated_geometries(draw, max_bits=9):
+    m = 2 ** draw(st.sampled_from(range(1, max_bits + 1)))
+    n = draw(st.one_of(st.just(1), st.just(m - 1),
+                       st.integers(1, max(1, m // 4)), st.integers(1, m - 1)))
+    return n, m
+
+
+# Where the conditioning allows, fast and dense agree to 1e-12 relative.
+# Elsewhere (S ill-conditioned, or xi0 cancelling far below xi1) the
+# agreement required is 64 times the forward-error scale above; over 400
+# random draws the observed gap stayed under 4 times that scale.
+@given(geometry=truncated_geometries(),
+       exponents=st.tuples(st.floats(-12, 12), st.floats(-12, 12)),
+       sigma2_db=st.floats(-30, 30), seed=st.integers(0, 2**32 - 1))
+@example(geometry=(250, 1024), exponents=(-1.0, 1.0), sigma2_db=-12.0,
+         seed=0)
+@settings(max_examples=200)
+def test_ep_projection_matches_dense_oracle(geometry, exponents, sigma2_db,
+                                            seed):
+    n, m = geometry
+    cb = hadamard_codebook(n, m)
+    rng = np.random.default_rng(seed)
+    xi1 = 10.0 ** rng.uniform(min(exponents), max(exponents), m)
+    sigma2 = 10.0 ** (sigma2_db / 10)
+    eta1 = rng.normal(0.0, 3.0, m) / xi1
+    lin = rng.normal(0.0, 3.0, m) / sigma2
+    try:
+        xi_ref, mu_ref = dense_ep_projection(cb, xi1, eta1, lin, sigma2)
+    except np.linalg.LinAlgError:
+        reject()  # the oracle itself cannot factor S
+    xi_fast, mu_fast = tuma.decoders._ep_projection(cb, xor_table(cb), xi1,
+                                                    eta1, lin, sigma2)
+    var_scale, mean_scale = projection_error_scale(cb, xi1,
+                                                   xi1 * (eta1 + lin), sigma2)
+    assert np.all(np.abs(xi_fast - xi_ref)
+                  <= np.maximum(1e-12 * np.abs(xi_ref), 64 * var_scale))
+    assert np.all(np.abs(mu_fast - mu_ref)
+                  <= np.maximum(1e-12 * np.abs(mu_ref), 64 * mean_scale))
+
+
+def test_ep_projection_memory_is_bounded_at_largest_size():
+    n, m = 250, 2**18
+    cb = hadamard_codebook(n, m)
+    rng = np.random.default_rng(97)
+    xi1 = rng.uniform(0.1, 2.0, m)
+    eta1 = rng.normal(0.0, 1.0, m)
+    lin = rng.normal(0.0, 10.0, m)
+    tracemalloc.start()
+    try:
+        tuma.decoders._ep_projection(cb, xor_table(cb), xi1, eta1, lin, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense n x m float64 array alone would take 524 MB
+    assert peak <= 16 * 2**20
