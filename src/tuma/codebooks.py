@@ -84,20 +84,29 @@ def fwht(v):
     Sylvester ordering: fwht(e_j) is row j of the usual H_L built from
     H_2 = [[1, 1], [1, -1]], and fwht(fwht(v)) == L * v.
     """
-    a = np.array(v, dtype=float)
+    return _fwht_in_place(np.array(v, dtype=float))
+
+
+def _fwht_in_place(a):
+    """fwht of a C-contiguous float array, overwriting it; returns it.
+
+    Besides the array itself the only memory is one half-size scratch
+    array shared by every butterfly stage.
+    """
     size = a.shape[-1]
     _require(_is_pow2(size), "transform length must be a power of two")
-    lead = a.shape[:-1]
-    a = a.reshape(-1, size)
+    rows = a.reshape(-1, size)
+    scratch = np.empty(a.size // 2)
     h = 1
     while h < size:
-        b = a.reshape(a.shape[0], -1, 2, h)
-        top = b[:, :, 0, :] + b[:, :, 1, :]
-        bot = b[:, :, 0, :] - b[:, :, 1, :]
-        b[:, :, 0, :] = top
-        b[:, :, 1, :] = bot
+        b = rows.reshape(rows.shape[0], -1, 2, h)
+        lo, hi = b[:, :, 0, :], b[:, :, 1, :]
+        diff = scratch.reshape(lo.shape)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
         h *= 2
-    return a.reshape(*lead, size)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +161,8 @@ def apply(cb, v):
     """C @ v for v of shape (m,)."""
     v = np.asarray(v, dtype=float)
     _require(v.shape == (cb.m,), "vector length must equal codebook size")
-    t = fwht(v) * cb.scale
+    t = fwht(v)
+    t *= cb.scale
     if cb.n <= cb.m:
         return t[cb.row_ids]
     out = np.zeros(cb.n)
@@ -167,8 +177,11 @@ def adjoint(cb, z):
     if cb.n <= cb.m:
         buf = np.zeros(cb.m)
         buf[cb.row_ids] = z
-        return fwht(buf) * cb.scale  # H is symmetric
-    return fwht(z[: cb.m]) * cb.scale
+        out = _fwht_in_place(buf)  # H is symmetric
+    else:
+        out = fwht(z[: cb.m])
+    out *= cb.scale
+    return out
 
 
 def sq_apply(cb, v):

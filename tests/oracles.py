@@ -10,6 +10,8 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from tuma.codebooks import fwht
+from tuma.denoiser import XI_FLOOR
+from tuma.scenario import _require
 
 
 def transport_vertex_oracle(a, b, cost):
@@ -83,3 +85,27 @@ def dense_ep_projection(cb, xi1, eta1, lin, sigma2):
     u = cho_solve((chol, True), dense @ w)
     mu0_hat = w - xi1 * (dense.T @ u)
     return xi0_hat, mu0_hat
+
+
+def reference_tilted(r, xi, prior):
+    """Posterior mean and centered variance arrays for r = K + N(0, xi).
+
+    The direct form of tuma.denoiser._tilted: one (m, ka + 1) log-weight
+    array over every count, max-shifted and exponentiated with no floor,
+    normalized, then reduced by a matrix-vector product.
+    """
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    xi_arr = np.broadcast_to(np.asarray(xi, dtype=float), r_arr.shape)
+    _require(np.all(np.isfinite(r_arr)), "observations must be finite")
+    _require(np.all(xi_arr > 0) and np.all(np.isfinite(xi_arr)),
+             "noise variance must be positive and finite")
+    xi_arr = np.maximum(xi_arr, XI_FLOOR)
+    ks = prior.ks
+    a = prior.log_pmf[None, :] - 0.5 * (r_arr[:, None] - ks[None, :]) ** 2 / xi_arr[:, None]
+    a -= a.max(axis=1, keepdims=True)
+    w = np.exp(a)
+    w /= w.sum(axis=1, keepdims=True)
+    mean = w @ ks
+    dev = ks[None, :] - mean[:, None]
+    var = np.einsum("ij,ij->i", w, dev * dev)
+    return mean, var

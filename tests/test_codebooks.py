@@ -1,5 +1,7 @@
 """Quantization grids, the fast transform, and transmission codebooks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import hadamard as dense_hadamard
@@ -205,3 +207,23 @@ def test_apply_rejects_wrong_lengths():
         apply(cb, np.zeros(4))
     with pytest.raises(ConfigError):
         adjoint(cb, np.zeros(8))
+
+
+@pytest.mark.parametrize("n", [250, 2**18, 2**18 + 6])
+def test_transforms_keep_temporaries_small(n):
+    m = 2**18
+    cb = hadamard_codebook(n, m)
+    rng = np.random.default_rng(43)
+    v = rng.standard_normal(m)
+    z = rng.standard_normal(n)
+    for transform, arg in ((fwht, v), (lambda x: apply(cb, x), v),
+                           (lambda x: adjoint(cb, x), z)):
+        tracemalloc.start()
+        try:
+            transform(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2 MB result, a 1 MB scratch half and, for n >= m, one more
+        # gathered or zero-padded copy of the result
+        assert peak <= 4.5 * 2**20

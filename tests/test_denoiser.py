@@ -2,17 +2,23 @@
 
 Oracles here are written from the generative definitions: the prior against
 an exact-combinatorics direct sum in extended precision, the posterior
-against a naive weighted sum over the support, and the mean derivative
-against central finite differences.
+against a naive weighted sum over the support and against the direct
+unblocked, unfloored form (oracles.reference_tilted), and the mean
+derivative against central finite differences.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior, posterior_mean,
                   posterior_mean_deriv, posterior_moments, posterior_var)
+from tuma.denoiser import _BLOCK_CELLS
 
 
 def prior_oracle(ka, ma, m):
@@ -170,6 +176,111 @@ def test_posterior_degenerate_priors():
     mean, var = posterior_moments(-0.4, 0.25, spike)
     assert mean == 2.0 and var == 0.0
     assert posterior_mean_deriv(-0.4, 0.25, spike) == 0.0
+    # the zero-mass middle count gets no weight: half at 0, half at 2
+    gap = CountPrior(pmf=np.array([0.5, 0.0, 0.5]), ka=2)
+    mean, var = posterior_moments(1.0, 0.5, gap)
+    assert mean == 1.0 and var == 1.0
+
+
+def test_posterior_ignores_zero_mass_counts():
+    # The top 213 counts of this prior have zero mass.  Cutting them off
+    # the prior must change no bit of the moments, even where the
+    # observation sits among them and every supported weight is floored.
+    prior = multiplicity_prior(500, 500, 2**18)
+    top = int(np.flatnonzero(prior.pmf > 0)[-1])
+    assert prior.ka - top == 213 and not prior.pmf[top + 1:].any()
+    cut = CountPrior(pmf=prior.pmf[: top + 1], ka=top)
+    r = np.concatenate([np.linspace(-5.0, 505.0, 511), [top + 0.5, 1e4]])
+    for xi in (1e-12, 1e-3, 0.5, 1e6):
+        mean, var = posterior_moments(r, xi, prior)
+        mean_cut, var_cut = posterior_moments(r, xi, cut)
+        assert np.array_equal(mean, mean_cut)
+        assert np.array_equal(var, var_cut)
+        assert mean.max() <= top
+
+
+def _block_cols(prior):
+    """Coordinates per block of the denoiser for this prior's support."""
+    return max(1, _BLOCK_CELLS // int(np.count_nonzero(prior.pmf)))
+
+
+@st.composite
+def _hand_priors(draw):
+    """Priors with interior zeros and zero tails."""
+    ka = draw(st.integers(1, 120))
+    mass = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1e-300, 1e-30, 1e-3, 0.2, 1.0]),
+        min_size=ka + 1, max_size=ka + 1)))
+    lo = draw(st.integers(0, ka))
+    hi = draw(st.integers(lo, ka))
+    mass[:lo] = 0.0
+    mass[hi + 1:] = 0.0
+    mass[draw(st.integers(lo, hi))] = 1.0
+    return CountPrior(pmf=mass / mass.sum(), ka=ka)
+
+
+_PRIORS = st.one_of(
+    st.builds(multiplicity_prior, st.integers(1, 500), st.integers(1, 500),
+              st.integers(1, 18).map(lambda b: 2**b)),
+    _hand_priors())
+
+
+@settings(max_examples=150)
+@given(prior=_PRIORS,
+       size=st.sampled_from(["one", "block-1", "block", "block+1",
+                             "several"]),
+       per_coordinate=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_posterior_matches_unblocked_reference(prior, size, per_coordinate,
+                                               seed):
+    cols = _block_cols(prior)
+    count = {"one": 1, "block-1": max(1, cols - 1), "block": cols,
+             "block+1": cols + 1, "several": 3 * cols + 5}[size]
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-5.0, prior.ka + 5.0, count)
+    far = np.array([-1e4, prior.ka + 1e4, -300.0, prior.ka + 300.0])
+    r[: far.size] = far[: count]
+    xi = 10.0 ** rng.uniform(-14, 12, count if per_coordinate else None)
+    mean, var = posterior_moments(r, xi, prior)
+    mean_ref, var_ref = reference_tilted(r, xi, prior)
+    # the normalization criterion 4 uses
+    assert np.max(np.abs(mean - mean_ref) / (1 + np.abs(mean_ref))) <= 1e-12
+    assert np.max(np.abs(var - var_ref) / (1 + np.abs(var_ref))) <= 1e-12
+
+
+def test_posterior_does_not_depend_on_block_boundaries():
+    prior = multiplicity_prior(100, 10, 2**14)
+    cols = _block_cols(prior)
+    rng = np.random.default_rng(37)
+    r = rng.uniform(-5.0, 105.0, 2 * cols + 1)
+    xi_vec = 10.0 ** rng.uniform(-3, 2, r.size)
+    for xi in (0.37, xi_vec):
+        mean, var = posterior_moments(r, xi, prior)
+        for i in (0, cols - 1, cols, 2 * cols - 1, 2 * cols):
+            one = posterior_moments(r[i], xi if np.ndim(xi) == 0 else xi[i],
+                                    prior)
+            assert one == (mean[i], var[i])
+        pair = slice(cols - 1, cols + 1)
+        mean_pair, var_pair = posterior_moments(
+            r[pair], xi if np.ndim(xi) == 0 else xi[pair], prior)
+        assert np.array_equal(mean_pair, mean[pair])
+        assert np.array_equal(var_pair, var[pair])
+
+
+def test_posterior_memory_is_bounded():
+    prior = multiplicity_prior(100, 10, 2**18)
+    rng = np.random.default_rng(41)
+    r = rng.uniform(-5.0, 105.0, 2**18)
+    xi_vec = 10.0 ** rng.uniform(-3, 1, r.size)
+    for xi in (0.37, xi_vec):
+        tracemalloc.start()
+        try:
+            posterior_moments(r, xi, prior)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (m, ka + 1) float64 array alone would take 212 MB
+        assert peak <= 16 * 2**20
 
 
 def test_posterior_rejects_bad_inputs():
