@@ -20,7 +20,7 @@ from .decoders import (ALGORITHMS, DecoderDiverged, DecoderOptions,
 from .metrics import (TransportPlan, quantization_distortion, total_variation,
                       wasserstein)
 from .harness import (CSV_COLUMNS, SweepSpec, TrialResult, aggregate,
-                      derive_config, run_sweep, run_trial, run_trials)
+                      derive_config, run_sweep, run_trial)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "TransportPlan", "quantization_distortion", "total_variation",
     "wasserstein",
     "CSV_COLUMNS", "SweepSpec", "TrialResult", "aggregate", "derive_config",
-    "run_sweep", "run_trial", "run_trials",
+    "run_sweep", "run_trial",
     "__version__",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .scenario import _require
+from .scenario import DiscreteMeasure, _require
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
 from .denoiser import posterior_moments
 
@@ -104,24 +104,16 @@ def round_estimate(k_soft, ka):
     return np.clip(rounded, 0, ka).astype(np.int64)
 
 
-def estimated_type(k_hat, quantizer, k_soft=None):
+def estimated_type(k_hat, quantizer):
     """Normalized discrete measure at cell centroids with masses k_hat.
 
-    If k_hat is all zero the message with the largest soft score receives
-    count one (k_soft required in that case), so the result is always a
-    probability measure.
+    k_hat must not be all zero; a DecoderReport's k_hat never is.
     """
-    from .scenario import DiscreteMeasure
-
     k = np.asarray(k_hat)
     _require(k.ndim == 1 and k.size == quantizer.m, "k_hat must have m entries")
     _require(np.issubdtype(k.dtype, np.integer) and np.all(k >= 0),
              "k_hat must be nonnegative integers")
-    if k.sum() == 0:
-        _require(k_soft is not None,
-                 "all-zero estimate needs soft scores for the fallback")
-        k = k.copy()
-        k[int(np.argmax(k_soft))] = 1
+    _require(k.sum() > 0, "k_hat must not be all zero")
     keep = k > 0
     return DiscreteMeasure.from_counts(k[keep], quantizer.centroids[keep])
 

@@ -1,11 +1,12 @@
 """
 Monte Carlo harness: single trials, parameter sweeps, CSV reports.
 
-Each trial draws its own random stream from (seed, trial_index), so results
-do not depend on execution order or worker count, and sweeps reuse the same
-trial streams at every swept value (common random numbers — scene draws are
-paired across values).  Diverged decodes contribute their last finite
-estimate and are counted in the diverged column.
+A trial is one scene, simulated once and decoded by every decoder of the
+sweep.  Each trial draws its own random stream from (seed, trial_index), so
+results do not depend on execution order or worker count, and sweeps reuse
+the same trial streams at every swept value (common random numbers — scene
+draws are paired across values).  Diverged decodes contribute their last
+finite estimate and are counted in the diverged column.
 """
 
 import csv
@@ -14,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .metrics import quantization_distortion, total_variation, wasserstein
 
 CSV_COLUMNS = ("sweep_param", "value", "decoder", "n", "ka", "ma", "bits",
                "snr_db", "trials", "tv_mean", "tv_se", "wp_mean", "wp_se",
-               "distortion_mean", "diverged_count")
+               "distortion_mean", "diverged_count", "iterations_mean",
+               "fallback_count")
 
 SWEEPABLE = ("ma", "bits", "n", "snr_db")
 
@@ -57,7 +60,7 @@ class SweepSpec:
 
 @dataclass(frozen=True, eq=False)
 class TrialResult:
-    """Metrics of one decoded trial."""
+    """Metrics of one scene decoded by one decoder."""
 
     trial_index: int
     decoder: str
@@ -76,42 +79,45 @@ def _assets(n, ka, ma, m):
     return grid_codebook(m), hadamard_codebook(n, m), multiplicity_prior(ka, ma, m)
 
 
-def run_trial(config, decoder, trial_index):
-    """Simulate and decode one scene; returns a TrialResult.
+def run_trial(config, decoders, trial_index):
+    """Simulate one scene and decode it with each decoder in turn.
 
-    The random stream depends only on (config.seed, trial_index), so the
-    same trial can be reproduced in isolation.
+    The scene, the received signal and the decoder-free distortion are
+    computed once; returns one TrialResult per decoder, in order.  The random
+    stream depends only on (config.seed, trial_index), so the same trial can
+    be reproduced in isolation.
     """
+    _require(not isinstance(decoders, str),
+             "decoders must be a sequence of decoder names")
     rng = trial_rng(config.seed, trial_index)
     quantizer, cb, prior = _assets(config.n, config.ka, config.ma, config.m)
     states = draw_targets(rng, config.ma)
     assignment = assign_sensors(rng, config.ka, config.ma)
     k = true_multiplicity(states, assignment, quantizer)
     received = transmit(cb, k, config.snr_db, rng)
-
-    options = DecoderOptions(algorithm=decoder, max_iters=config.max_iters)
-    start = time.perf_counter()
-    try:
-        report = decode(received, cb, prior, options)
-    except DecoderDiverged as err:
-        report = err.report
-    wall = time.perf_counter() - start
-
     scene_type = true_type(states, assignment)
-    estimate = estimated_type(report.k_hat, quantizer, k_soft=report.k_soft)
-    tv = total_variation(k, report.k_hat)
-    wp, _ = wasserstein(scene_type, estimate, config.p_order)
     distortion = quantization_distortion(scene_type, k, quantizer,
                                          config.p_order)
-    return TrialResult(trial_index=trial_index, decoder=decoder, tv=tv, wp=wp,
-                       distortion=distortion,
-                       iterations_run=report.iterations_run,
-                       wall_time_s=wall, diverged=report.diverged,
-                       fallback_used=report.fallback_used)
 
-
-def _trial_star(args):
-    return run_trial(*args)
+    results = []
+    for decoder in decoders:
+        options = DecoderOptions(algorithm=decoder,
+                                 max_iters=config.max_iters)
+        start = time.perf_counter()
+        try:
+            report = decode(received, cb, prior, options)
+        except DecoderDiverged as err:
+            report = err.report
+        wall = time.perf_counter() - start
+        estimate = estimated_type(report.k_hat, quantizer)
+        wp, _ = wasserstein(scene_type, estimate, config.p_order)
+        results.append(TrialResult(
+            trial_index=trial_index, decoder=decoder,
+            tv=total_variation(k, report.k_hat), wp=wp,
+            distortion=distortion, iterations_run=report.iterations_run,
+            wall_time_s=wall, diverged=report.diverged,
+            fallback_used=report.fallback_used))
+    return results
 
 
 def worker_count():
@@ -122,18 +128,6 @@ def worker_count():
         _require(count >= 1, "TUMA_THREADS must be >= 1")
         return count
     return os.cpu_count() or 1
-
-
-def run_trials(config, decoder, workers=None):
-    """All trials of one configuration, in trial-index order."""
-    workers = worker_count() if workers is None else workers
-    tasks = [(config, decoder, t) for t in range(config.trials)]
-    if workers <= 1 or config.trials == 1:
-        return [run_trial(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, config.trials // (8 * workers))
-        results = list(pool.map(_trial_star, tasks, chunksize=chunk))
-    return sorted(results, key=lambda r: r.trial_index)
 
 
 def derive_config(base, param, value):
@@ -175,36 +169,49 @@ def aggregate(results, config, decoder, param="none", value=None):
         "wp_se": se(wps),
         "distortion_mean": float(np.mean(dist)),
         "diverged_count": sum(r.diverged for r in results),
+        "iterations_mean": float(np.mean([r.iterations_run for r in results])),
+        "fallback_count": sum(r.fallback_used for r in results),
     }
 
 
 def run_sweep(spec, workers=None, log=None):
     """Run every (value, decoder) cell of a sweep; returns the summary rows.
 
-    When spec.out is set, rows are appended to the CSV as they finish, so a
-    partial file is left behind if the run is interrupted.
+    Each scene is simulated once and decoded by every decoder, and the whole
+    sweep shares one worker pool.  When spec.out is set, the CSV is written
+    before the first scene and again each time a value's scenes are done,
+    so an interrupted run leaves the rows finished so far.
     """
-    rows = []
-    writer = None
-    handle = None
+    workers = worker_count() if workers is None else workers
+    configs = [derive_config(spec.base, spec.param, v) for v in spec.values]
+    tasks = [(config, spec.decoders, t)
+             for config in configs for t in range(config.trials)]
     if spec.out:
-        handle = open(spec.out, "w", newline="")
+        _write_csv(spec.out, [])
+    if workers <= 1 or len(tasks) == 1:
+        return _summarize(spec, configs, map(run_trial, *zip(*tasks)), log)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _summarize(spec, configs, pool.map(run_trial, *zip(*tasks)),
+                          log)
+
+
+def _summarize(spec, configs, scenes, log):
+    """Rows value by value (decoder inner) from the scenes in task order."""
+    rows = []
+    for value, config in zip(spec.values, configs):
+        per_scene = list(islice(scenes, config.trials))
+        for i, decoder in enumerate(spec.decoders):
+            rows.append(aggregate([results[i] for results in per_scene],
+                                  config, decoder, spec.param, value))
+            if log is not None:
+                log(rows[-1])
+        if spec.out:
+            _write_csv(spec.out, rows)
+    return rows
+
+
+def _write_csv(path, rows):
+    with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        handle.flush()
-    try:
-        for value in spec.values:
-            config = derive_config(spec.base, spec.param, value)
-            for decoder in spec.decoders:
-                results = run_trials(config, decoder, workers=workers)
-                row = aggregate(results, config, decoder, spec.param, value)
-                rows.append(row)
-                if writer is not None:
-                    writer.writerow(row)
-                    handle.flush()
-                if log is not None:
-                    log(row)
-    finally:
-        if handle is not None:
-            handle.close()
-    return rows
+        writer.writerows(rows)

@@ -34,7 +34,7 @@ from oracles import dense_codebook, transport_vertex_oracle
 from tuma import (DecoderOptions, DiscreteMeasure, SweepSpec, SystemConfig,
                   decode, fwht, grid_codebook, hadamard_codebook,
                   multiplicity_prior, posterior_mean_deriv, posterior_moments,
-                  run_sweep, run_trials, total_variation, transmit, trial_rng,
+                  run_sweep, run_trial, total_variation, transmit, trial_rng,
                   wasserstein)
 from tuma.codebooks import adjoint, apply
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
@@ -51,11 +51,10 @@ def paired_gap(tv_a, tv_b):
 
 
 def tv_per_trial(config):
-    out = {}
-    for decoder in ("amp", "ep", "scalar_amp"):
-        results = run_trials(config, decoder, workers=1)
-        out[decoder] = np.array([r.tv for r in results])
-    return out
+    decoders = ("amp", "ep", "scalar_amp")
+    scenes = [run_trial(config, decoders, t) for t in range(config.trials)]
+    return {decoder: np.array([results[i].tv for results in scenes])
+            for i, decoder in enumerate(decoders)}
 
 
 def test_criterion_1_decoder_ordering():

@@ -60,15 +60,11 @@ def test_estimated_type_drops_empty_cells():
     assert np.array_equal(measure.counts, [2, 1])
 
 
-def test_estimated_type_all_zero_fallback():
-    quantizer = grid_codebook(4)
-    soft = np.array([0.1, 0.4, 0.2, 0.05])
-    measure = estimated_type(np.zeros(4, dtype=np.int64), quantizer,
-                             k_soft=soft)
-    assert np.allclose(measure.weights, [1.0])
-    assert np.allclose(measure.locations, quantizer.centroids[1:2])
+def test_estimated_type_rejects_all_zero_counts():
+    # decoder reports are never all zero (the rounding fallback gives the
+    # largest soft score a count of one), so an all-zero k_hat is an error
     with pytest.raises(ConfigError):
-        estimated_type(np.zeros(4, dtype=np.int64), quantizer)
+        estimated_type(np.zeros(4, dtype=np.int64), grid_codebook(4))
 
 
 def test_estimated_type_rejects_malformed_counts():
@@ -158,8 +154,7 @@ def test_pure_noise_falls_back_to_single_atom():
     report = amp_decode(received, cb, prior)
     assert report.fallback_used
     assert report.k_hat.sum() == 1
-    measure = estimated_type(report.k_hat, grid_codebook(64),
-                             k_soft=report.k_soft)
+    measure = estimated_type(report.k_hat, grid_codebook(64))
     assert measure.size == 1
 
 

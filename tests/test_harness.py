@@ -1,17 +1,22 @@
 """Monte Carlo harness: trials, aggregation, sweeps, CSV output, CLI."""
 
 import csv
+import dataclasses
+import multiprocessing
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tuma.harness as harness
 from tuma import (CSV_COLUMNS, ConfigError, SweepSpec, SystemConfig,
-                  TrialResult, aggregate, derive_config, run_sweep, run_trial,
-                  run_trials)
+                  TrialResult, aggregate, derive_config, run_sweep, run_trial)
 from tuma.harness import worker_count
 from tuma.cli import main
 
 TINY = SystemConfig(n=16, ka=3, ma=2, m=16, snr_db=0.0, trials=4, seed=9)
+ALL_DECODERS = ("amp", "scalar_amp", "ep")
 
 
 # ---------------------------------------------------------------------------
@@ -19,8 +24,8 @@ TINY = SystemConfig(n=16, ka=3, ma=2, m=16, snr_db=0.0, trials=4, seed=9)
 
 
 def test_run_trial_is_reproducible():
-    first = run_trial(TINY, "amp", 2)
-    second = run_trial(TINY, "amp", 2)
+    [first] = run_trial(TINY, ("amp",), 2)
+    [second] = run_trial(TINY, ("amp",), 2)
     assert first.tv == second.tv
     assert first.wp == second.wp
     assert first.distortion == second.distortion
@@ -28,7 +33,7 @@ def test_run_trial_is_reproducible():
 
 
 def test_run_trial_metrics_are_sane():
-    result = run_trial(TINY, "amp", 0)
+    [result] = run_trial(TINY, ("amp",), 0)
     assert 0.0 <= result.tv <= 1.0
     assert result.wp >= 0.0
     assert result.distortion >= 0.0
@@ -36,27 +41,120 @@ def test_run_trial_metrics_are_sane():
     assert not result.diverged
 
 
+def test_run_trial_rejects_a_bare_decoder_name():
+    with pytest.raises(ConfigError, match="sequence"):
+        run_trial(TINY, "amp", 0)
+
+
 def test_trials_are_independent_of_execution_order():
-    batch = run_trials(TINY, "amp", workers=1)
-    assert [r.trial_index for r in batch] == [0, 1, 2, 3]
-    solo = run_trial(TINY, "amp", 3)
-    assert solo.tv == batch[3].tv and solo.wp == batch[3].wp
+    forward = [run_trial(TINY, ("amp",), t)[0] for t in range(4)]
+    backward = [run_trial(TINY, ("amp",), t)[0] for t in (3, 2, 1, 0)]
+    assert [r.trial_index for r in forward] == [0, 1, 2, 3]
+    assert [(r.tv, r.wp) for r in forward] == [
+        (r.tv, r.wp) for r in reversed(backward)]
+
+
+@pytest.mark.parametrize("trial_index", [0, 1, 2])
+def test_one_scene_decoded_by_every_decoder_matches_separate_trials(
+        trial_index):
+    # every decoder sees the same received signal, so none may mutate it:
+    # decoding the scene once per decoder must give the same bits
+    config = SystemConfig(n=64, ka=10, ma=5, m=128, snr_db=-5.0, seed=21)
+    together = run_trial(config, ALL_DECODERS, trial_index)
+    assert [r.decoder for r in together] == list(ALL_DECODERS)
+    for decoder, joint in zip(ALL_DECODERS, together):
+        [alone] = run_trial(config, (decoder,), trial_index)
+        for field in dataclasses.fields(TrialResult):
+            if field.name != "wall_time_s":
+                assert (getattr(joint, field.name)
+                        == getattr(alone, field.name)), (decoder, field.name)
 
 
 def test_worker_pool_matches_serial_execution():
-    serial = run_trials(TINY, "amp", workers=1)
-    pooled = run_trials(TINY, "amp", workers=2)
-    assert [r.tv for r in pooled] == [r.tv for r in serial]
-    assert [r.wp for r in pooled] == [r.wp for r in serial]
+    spec = SweepSpec(base=TINY, param="bits", values=(3, 4, 5),
+                     decoders=ALL_DECODERS)
+    assert run_sweep(spec, workers=2) == run_sweep(spec, workers=1)
 
 
 def test_scenes_are_paired_across_swept_values():
     # the swept channel parameter must not disturb the scene stream: the
     # distortion (a scene-only quantity) is identical trial by trial
-    loud = run_trial(TINY, "amp", 1)
+    [loud] = run_trial(TINY, ("amp",), 1)
     quiet_config = derive_config(TINY, "snr_db", -20.0)
-    quiet = run_trial(quiet_config, "amp", 1)
+    [quiet] = run_trial(quiet_config, ("amp",), 1)
     assert loud.distortion == quiet.distortion
+
+
+# ---------------------------------------------------------------------------
+# one scene, one distortion, one pool
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_each_scene_is_simulated_once_for_all_decoders(monkeypatch):
+    scenes = _count_calls(monkeypatch, "draw_targets")
+    distortions = _count_calls(monkeypatch, "quantization_distortion")
+    spec = SweepSpec(base=TINY, param="snr_db", values=(0.0, -10.0),
+                     decoders=("amp", "scalar_amp"))
+    rows = run_sweep(spec, workers=1)
+    assert len(rows) == 4
+    assert len(scenes) == len(distortions) == 2 * TINY.trials
+
+
+def test_one_pool_per_sweep(monkeypatch):
+    started = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    spec = SweepSpec(base=TINY, param="bits", values=(3, 4, 5),
+                     decoders=("amp", "scalar_amp"))
+    run_sweep(spec, workers=2)
+    assert len(started) == 1
+    run_sweep(spec, workers=1)
+    assert len(started) == 1
+
+
+class DecoderFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched module")
+def test_decoder_error_stops_a_pooled_sweep(monkeypatch, tmp_path):
+    log = tmp_path / "scenes.log"
+    draw = harness.draw_targets
+
+    def slow_logged_draw(rng, ma):
+        with open(log, "a") as handle:
+            handle.write("scene\n")
+        time.sleep(0.05)
+        return draw(rng, ma)
+
+    def failing_decode(*args, **kwargs):
+        raise DecoderFailure("decoder failed")
+
+    monkeypatch.setattr(harness, "draw_targets", slow_logged_draw)
+    monkeypatch.setattr(harness, "decode", failing_decode)
+    spec = SweepSpec(base=replace(TINY, trials=20), param="bits",
+                     values=(3, 4), decoders=("amp", "ep"))
+    with pytest.raises(DecoderFailure):
+        run_sweep(spec, workers=2)
+    # the first scene fails; only scenes already handed to a worker still run
+    assert len(log.read_text().splitlines()) < 20
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +164,8 @@ def test_scenes_are_paired_across_swept_values():
 def test_aggregate_summary_statistics():
     results = [
         TrialResult(trial_index=i, decoder="amp", tv=tv, wp=wp,
-                    distortion=0.5, iterations_run=3, wall_time_s=0.0,
-                    diverged=(i == 2), fallback_used=False)
+                    distortion=0.5, iterations_run=3 + i, wall_time_s=0.0,
+                    diverged=(i == 2), fallback_used=(i > 0))
         for i, (tv, wp) in enumerate([(0.1, 1.0), (0.2, 2.0), (0.3, 3.0)])
     ]
     row = aggregate(results, TINY, "amp", param="ma", value=7)
@@ -79,6 +177,8 @@ def test_aggregate_summary_statistics():
     assert abs(row["tv_se"] - np.std([0.1, 0.2, 0.3], ddof=1) / np.sqrt(3)) < 1e-15
     assert abs(row["wp_mean"] - 2.0) < 1e-15
     assert row["diverged_count"] == 1
+    assert row["iterations_mean"] == 4.0
+    assert row["fallback_count"] == 2
     assert set(row) == set(CSV_COLUMNS)
 
 
