@@ -161,13 +161,15 @@ def apply(cb, v):
     """C @ v for v of shape (m,)."""
     v = np.asarray(v, dtype=float)
     _require(v.shape == (cb.m,), "vector length must equal codebook size")
+    if cb.n > cb.m:
+        out = np.zeros(cb.n)
+        out[: cb.m] = v
+        t = _fwht_in_place(out[: cb.m])
+        t *= cb.scale
+        return out
     t = fwht(v)
     t *= cb.scale
-    if cb.n <= cb.m:
-        return t[cb.row_ids]
-    out = np.zeros(cb.n)
-    out[: cb.m] = t
-    return out
+    return t if cb.n == cb.m else t[cb.row_ids]
 
 
 def adjoint(cb, z):

@@ -54,6 +54,8 @@ class SweepSpec:
         _require(self.param == "none" or self.param in SWEEPABLE,
                  f"param must be 'none' or one of {SWEEPABLE}")
         _require(len(self.values) >= 1, "values must be nonempty")
+        _require(not isinstance(self.decoders, str),
+                 "decoders must be a sequence of decoder names")
         for dec in self.decoders:
             _require(dec in ALGORITHMS, f"unknown decoder {dec!r}")
 

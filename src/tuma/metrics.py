@@ -1,15 +1,20 @@
 """
 Distances between discrete measures and decoding-quality metrics.
 
-wasserstein solves the exact optimal-transport linear program.  When both
+wasserstein computes the exact optimal-transport coupling.  When both
 measures carry integer counts, the marginals are brought to the least common
-multiple of the two totals and the LP is solved in integer units (exact
-rational marginals; one division at the end), with a dual-simplex method so
-the solution is a basic (vertex) one.
+multiple of the two totals and the problem is solved in integer units (exact
+rational marginals; one division at the end).  If sending every row atom's
+mass to its nearest column atom already meets the column marginals exactly,
+that coupling is returned: it is optimal and a vertex of the transport
+polytope (see wasserstein).  Otherwise the transport LP is solved with a
+dual-simplex method, so the solution is again a basic (vertex) one.
 
 total_variation compares normalized multiplicity vectors directly, and
 quantization_distortion is the transport cost of quantization alone (true
-type against the error-free type at cell centroids).
+type against the error-free type at cell centroids).  Each target lies in
+the cell of its nearest centroid, so that coupling always takes the
+nearest-atom path and solves no LP.
 """
 
 import math
@@ -65,6 +70,15 @@ def wasserstein(mu, nu, p=2.0):
     Returns (distance, TransportPlan).  The transport LP
         min sum_ij e_ij ||s_i - q_j||^p  s.t.  e >= 0, marginals fixed
     is solved exactly; distance = objective ** (1/p).
+
+    The LP is skipped when the nearest-atom coupling, which sends each row
+    atom's whole mass to its nearest column atom, meets the column marginals
+    exactly.  That coupling is optimal: every unit of mass pays its row's
+    minimum cost, which bounds the cost of any coupling with the same row
+    marginal from below.  It is a vertex: each row has one nonzero entry, so
+    its support is acyclic.  Ties go to the highest column index, as the grid
+    quantizer sends a point on a cell edge to the upper cell, so the
+    coupling always fits quantization_distortion.
     """
     _require(p >= 1.0, "order p must be >= 1")
     cost = cdist(mu.locations, nu.locations)
@@ -73,19 +87,13 @@ def wasserstein(mu, nu, p=2.0):
     rows, cols = cost.shape
     a, b, scale = _lp_marginals(mu, nu)
 
-    # equality constraints: all row sums, then all column sums but the last
-    # (redundant once the problem is balanced)
-    row_block = sparse.kron(sparse.eye(rows), np.ones((1, cols))).tocsr()
-    col_block = sparse.kron(np.ones((1, rows)), sparse.eye(cols)).tocsr()
-    a_eq = sparse.vstack([row_block, col_block[:-1]], format="csr")
-    b_eq = np.concatenate([a, b[:-1]])
-
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs-ds")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(rows, cols) / scale
-    plan = np.where(plan > 0, plan, 0.0)  # simplex roundoff only
+    nearest = cols - 1 - cost[:, ::-1].argmin(axis=1)
+    if np.array_equal(np.bincount(nearest, weights=a, minlength=cols), b):
+        plan = np.zeros((rows, cols))
+        plan[np.arange(rows), nearest] = a
+    else:
+        plan = _transport_lp(cost, a, b)
+    plan /= scale
 
     row_err = np.abs(plan.sum(axis=1) - mu.weights).max()
     col_err = np.abs(plan.sum(axis=0) - nu.weights).max()
@@ -95,6 +103,31 @@ def wasserstein(mu, nu, p=2.0):
     objective = float((plan * cost).sum())
     distance = objective ** (1.0 / p)
     return distance, TransportPlan(plan=plan, objective=objective)
+
+
+def _transport_lp(cost, a, b):
+    """Vertex solution of the balanced transport LP, in the units of a, b."""
+    rows, cols = cost.shape
+    cells = rows * cols
+    # equality constraints: all row sums, then all column sums but the last
+    # (redundant once the problem is balanced); row i covers cells
+    # i*cols..(i+1)*cols-1, column j covers cells j, j+cols, ...
+    flat = np.arange(cells)
+    indices = np.concatenate(
+        [flat, flat.reshape(rows, cols).T.ravel()[: (cols - 1) * rows]])
+    indptr = np.concatenate(
+        [np.arange(rows + 1) * cols, cells + np.arange(1, cols) * rows])
+    a_eq = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                             shape=(rows + cols - 1, cells))
+    b_eq = np.concatenate([a, b[:-1]])
+
+    # presolve finds nothing to remove in a transport LP; skip its fixed cost
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds", options={"presolve": False})
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    plan = res.x.reshape(rows, cols)
+    return np.where(plan > 0, plan, 0.0)  # simplex roundoff only
 
 
 def total_variation(k, k_hat):

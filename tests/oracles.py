@@ -7,10 +7,14 @@ trade speed for being obviously correct on small instances.
 import itertools
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from tuma.codebooks import fwht
 from tuma.denoiser import XI_FLOOR
+from tuma.metrics import _lp_marginals
 from tuma.scenario import _require
 
 
@@ -49,6 +53,29 @@ def transport_vertex_oracle(a, b, cost):
     feasible = np.all(solutions >= -1e-9, axis=1)
     objectives = (cost.ravel()[bases] * solutions).sum(axis=1)
     return float(objectives[feasible].min())
+
+
+def reference_wasserstein(mu, nu, p=2.0):
+    """p-Wasserstein distance and coupling from the full transport LP.
+
+    The LP form of tuma.metrics.wasserstein with no nearest-atom shortcut:
+    the equality constraints are built by Kronecker products and HiGHS runs
+    its presolve.  Returns (distance, plan).
+    """
+    cost = cdist(mu.locations, nu.locations) ** p
+    rows, cols = cost.shape
+    a, b, scale = _lp_marginals(mu, nu)
+    row_block = sparse.kron(sparse.eye(rows), np.ones((1, cols))).tocsr()
+    col_block = sparse.kron(np.ones((1, rows)), sparse.eye(cols)).tocsr()
+    a_eq = sparse.vstack([row_block, col_block[:-1]], format="csr")
+    b_eq = np.concatenate([a, b[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    plan = res.x.reshape(rows, cols) / scale
+    plan = np.where(plan > 0, plan, 0.0)
+    return float((plan * cost).sum()) ** (1.0 / p), plan
 
 
 def dense_codebook(cb):

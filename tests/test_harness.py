@@ -198,6 +198,12 @@ def test_sweep_spec_validation():
         SweepSpec(base=TINY, decoders=("amp", "turbo"))
 
 
+def test_sweep_spec_rejects_a_bare_decoder_name():
+    # a string is a sequence of characters; it must not be checked as 'a', ...
+    with pytest.raises(ConfigError, match="sequence"):
+        SweepSpec(base=TINY, decoders="amp")
+
+
 def test_run_sweep_produces_rows_and_csv(tmp_path):
     out = tmp_path / "rows.csv"
     spec = SweepSpec(base=TINY, param="bits", values=(3, 4),

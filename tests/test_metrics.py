@@ -1,19 +1,54 @@
 """Transport distances, total variation, and the quantization floor."""
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from tuma import (ConfigError, DiscreteMeasure, grid_codebook,
-                  quantization_distortion, total_variation, true_type,
-                  wasserstein)
-from oracles import transport_vertex_oracle
+import tuma.metrics as metrics
+from tuma import (ConfigError, DiscreteMeasure, assign_sensors, grid_codebook,
+                  quantization_distortion, quantize, total_variation,
+                  true_multiplicity, true_type, wasserstein)
+from oracles import reference_wasserstein, transport_vertex_oracle
 
 
 def random_measure(rng, max_atoms=4):
     size = int(rng.integers(1, max_atoms + 1))
     counts = rng.integers(1, 6, size=size)
     return DiscreteMeasure.from_counts(counts, rng.random((size, 2)))
+
+
+def nearest_pair(rng, rows, cols, p, grid=None):
+    """(mu, nu) whose nearest-atom coupling meets nu's marginal exactly.
+
+    mu has `rows` atoms with counts 1..5.  Each of them sends its count to
+    the nearest of `cols` candidate points, ties to the highest index; nu
+    holds the candidates that receive something, with what they receive.
+    With `grid`, every coordinate is a multiple of 1/grid, so equal
+    distances are exactly equal and ties are common.
+    """
+    if grid:
+        sources = rng.integers(0, grid + 1, size=(rows, 2)) / grid
+        targets = rng.integers(0, grid + 1, size=(cols, 2)) / grid
+    else:
+        sources = rng.random((rows, 2))
+        targets = rng.random((cols, 2))
+    counts = rng.integers(1, 6, size=rows)
+    cost = cdist(sources, targets) ** p
+    nearest = cols - 1 - cost[:, ::-1].argmin(axis=1)
+    received = np.bincount(nearest, weights=counts, minlength=cols)
+    hit = received > 0
+    return (DiscreteMeasure.from_counts(counts, sources),
+            DiscreteMeasure.from_counts(received[hit].astype(np.int64),
+                                        targets[hit]))
+
+
+def without_counts(measure):
+    return DiscreteMeasure(weights=measure.weights, locations=measure.locations)
 
 
 # ---------------------------------------------------------------------------
@@ -59,23 +94,57 @@ def test_wasserstein_counts_and_weights_paths_agree():
     for _ in range(10):
         mu = random_measure(rng)
         nu = random_measure(rng)
-        bare_mu = DiscreteMeasure(weights=mu.weights, locations=mu.locations)
-        bare_nu = DiscreteMeasure(weights=nu.weights, locations=nu.locations)
         with_counts, _ = wasserstein(mu, nu, 2.0)
-        without, _ = wasserstein(bare_mu, bare_nu, 2.0)
+        without, _ = wasserstein(without_counts(mu), without_counts(nu), 2.0)
         assert abs(with_counts - without) < 1e-9
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_wasserstein_matches_vertex_enumeration(p):
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        mu = random_measure(rng)
-        nu = random_measure(rng)
-        dist, _ = wasserstein(mu, nu, p)
-        cost = cdist(mu.locations, nu.locations) ** p
-        best = transport_vertex_oracle(mu.weights, nu.weights, cost)
-        assert abs(dist - best ** (1.0 / p)) < 1e-8
+    for trial in range(20):
+        pairs = [(random_measure(rng), random_measure(rng)),
+                 nearest_pair(rng, int(rng.integers(1, 5)),
+                              int(rng.integers(1, 5)), p,
+                              grid=4 if trial % 2 else None)]
+        for mu, nu in pairs:
+            dist, _ = wasserstein(mu, nu, p)
+            cost = cdist(mu.locations, nu.locations) ** p
+            best = transport_vertex_oracle(mu.weights, nu.weights, cost)
+            assert abs(dist - best ** (1.0 / p)) < 1e-8
+
+
+@settings(max_examples=150)
+@given(rows=st.integers(1, 60), cols=st.integers(1, 60),
+       kind=st.sampled_from(["random", "nearest", "ties"]),
+       p=st.sampled_from([1.0, 2.0, 3.0]), counts=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_wasserstein_matches_full_lp(rows, cols, kind, p, counts, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mu = DiscreteMeasure.from_counts(rng.integers(1, 6, size=rows),
+                                         rng.random((rows, 2)))
+        nu = DiscreteMeasure.from_counts(rng.integers(1, 6, size=cols),
+                                         rng.random((cols, 2)))
+    else:
+        mu, nu = nearest_pair(rng, rows, cols, p,
+                              grid=8 if kind == "ties" else None)
+    if not counts:
+        mu, nu = without_counts(mu), without_counts(nu)
+    # in integer units the built pairs must skip the LP; normalized float
+    # weights need not sum to the column weights exactly, so they may not
+    skips_lp = counts and kind != "random"
+    no_lp = mock.patch.object(metrics, "linprog",
+                              side_effect=AssertionError("LP solved"))
+    with no_lp if skips_lp else nullcontext():
+        dist, plan = wasserstein(mu, nu, p)
+    ref, _ = reference_wasserstein(mu, nu, p)
+    assert abs(dist - ref) <= 1e-12 * ref
+    assert np.all(plan.plan >= 0.0)
+    assert np.abs(plan.row_marginals() - mu.weights).max() <= 1e-12
+    assert np.abs(plan.col_marginals() - nu.weights).max() <= 1e-12
+    # a vertex of the transport polytope has an acyclic support
+    assert np.count_nonzero(plan.plan) <= mu.size + nu.size - 1
 
 
 def test_wasserstein_metric_axioms():
@@ -171,3 +240,35 @@ def test_distortion_shrinks_with_finer_grids():
             values.append(quantization_distortion(scene, k, quantizer))
         averages.append(np.mean(values))
     assert averages[0] > averages[1] > averages[2]
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_distortion_solves_no_lp(m, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("quantization_distortion solved an LP")
+
+    monkeypatch.setattr(metrics, "linprog", no_lp)
+    quantizer = grid_codebook(m)
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        ma = int(rng.integers(1, 151))
+        states = rng.random((ma, 2))
+        # targets on vertical, horizontal and both cell edges, 1.0 included;
+        # a point on an edge is equidistant from the centroids on both sides
+        on_x = rng.random(ma) < 0.5
+        on_y = rng.random(ma) < 0.5
+        states[on_x, 0] = rng.integers(0, quantizer.cols + 1,
+                                       on_x.sum()) / quantizer.cols
+        states[on_y, 1] = rng.integers(0, quantizer.rows + 1,
+                                       on_y.sum()) / quantizer.rows
+        states[0, 0] = 1.0
+        assignment = assign_sensors(rng, int(rng.integers(1, 301)), ma)
+        scene = true_type(states, assignment)
+        k = true_multiplicity(states, assignment, quantizer)
+        cells = quantize(quantizer, scene.locations)
+        offsets = np.linalg.norm(
+            scene.locations - quantizer.centroids[cells], axis=1)
+        for p in (1.0, 2.0, 3.0):
+            expected = float(scene.weights @ offsets**p) ** (1.0 / p)
+            got = quantization_distortion(scene, k, quantizer, p)
+            assert abs(got - expected) <= 1e-12
