@@ -12,8 +12,8 @@ from .codebooks import (GridQuantizer, HadamardCodebook, adjoint, apply, fwht,
                         grid_codebook, hadamard_codebook, quantize, sq_adjoint,
                         sq_apply)
 from .channel import ReceivedSignal, snr_from_db, transmit
-from .denoiser import (CountPrior, multiplicity_prior, posterior_mean,
-                       posterior_mean_deriv, posterior_moments, posterior_var)
+from .denoiser import (CountPrior, multiplicity_prior, posterior_mean_deriv,
+                       posterior_moments)
 from .decoders import (ALGORITHMS, DecoderDiverged, DecoderOptions,
                        DecoderReport, amp_decode, decode, ep_decode,
                        estimated_type, round_estimate, scalar_amp_decode)
@@ -30,8 +30,8 @@ __all__ = [
     "GridQuantizer", "HadamardCodebook", "adjoint", "apply", "fwht",
     "grid_codebook", "hadamard_codebook", "quantize", "sq_adjoint", "sq_apply",
     "ReceivedSignal", "snr_from_db", "transmit",
-    "CountPrior", "multiplicity_prior", "posterior_mean",
-    "posterior_mean_deriv", "posterior_moments", "posterior_var",
+    "CountPrior", "multiplicity_prior", "posterior_mean_deriv",
+    "posterior_moments",
     "ALGORITHMS", "DecoderDiverged", "DecoderOptions", "DecoderReport",
     "amp_decode", "decode", "ep_decode", "estimated_type", "round_estimate",
     "scalar_amp_decode",

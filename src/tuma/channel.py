@@ -28,7 +28,6 @@ class ReceivedSignal:
 
     y: np.ndarray
     power: float  # linear per-codeword power P
-    noiseless: bool = False
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -58,4 +57,4 @@ def transmit(cb, k, snr_db, rng, noiseless=False):
     y = np.sqrt(cb.n * power) * apply(cb, k.astype(float))
     if not noiseless:
         y = y + rng.standard_normal(cb.n)
-    return ReceivedSignal(y=y, power=power, noiseless=noiseless)
+    return ReceivedSignal(y=y, power=power)

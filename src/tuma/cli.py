@@ -4,17 +4,14 @@ Command line interface.
     tuma run   --n 250 --ka 50 --ma 50 --bits 10 --snr-db -12 \
                --decoder amp --trials 200 --seed 1 --out results.csv
     tuma sweep --param ma --values 10 50 100 150 --decoder amp,ep ...
-    tuma selftest
 
 Flags may also come from a config file of `key = value` lines ('#' starts a
 comment); explicit flags override the file, the file overrides built-in
-defaults.  TUMA_THREADS caps the worker processes (default: CPU count).
+defaults.  --workers caps the worker processes (default: CPU count).
 """
 
 import argparse
 import sys
-
-import numpy as np
 
 from .scenario import SystemConfig
 from .harness import SweepSpec, run_sweep
@@ -131,7 +128,7 @@ def _add_common(parser):
     parser.add_argument("--config", help="config file of key = value lines")
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--workers", type=int,
-                        help="worker processes (default: TUMA_THREADS or CPUs)")
+                        help="worker processes (default: CPU count)")
 
 
 def _log_row(row):
@@ -154,95 +151,6 @@ def _cmd_run_or_sweep(args, command):
     return 0
 
 
-def _selftest():
-    """Fast numerical self-checks across the pipeline; exit code 0 on pass."""
-    from scipy.linalg import hadamard as dense_hadamard
-
-    from .scenario import draw_targets, trial_rng, true_multiplicity
-    from .codebooks import (adjoint, apply, fwht, grid_codebook,
-                            hadamard_codebook)
-    from .channel import snr_from_db, transmit
-    from .denoiser import multiplicity_prior, posterior_moments
-    from .decoders import (DecoderOptions, decode, round_estimate)
-    from .metrics import total_variation, wasserstein
-    from .scenario import DiscreteMeasure
-
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    rng = np.random.default_rng(7)
-
-    t = fwht(np.eye(64)) - dense_hadamard(64)
-    check("fwht matches dense Hadamard (64)", np.abs(t).max() < 1e-10)
-
-    cb = hadamard_codebook(48, 64)
-    v = rng.standard_normal(64)
-    z = rng.standard_normal(48)
-    lhs = float(apply(cb, v) @ z)
-    rhs = float(v @ adjoint(cb, z))
-    check("codebook adjoint identity", abs(lhs - rhs) < 1e-9)
-
-    prior = multiplicity_prior(50, 150, 1024)
-    check("prior pmf sums to one", abs(prior.pmf.sum() - 1.0) < 1e-10)
-    tiny = multiplicity_prior(1, 1, 2)
-    check("prior hand case [1/2, 1/2]",
-          np.abs(tiny.pmf - [0.5, 0.5]).max() < 1e-12)
-
-    r = rng.uniform(-1, 6, size=200)
-    mean_fast, var_fast = posterior_moments(r, 0.37, multiplicity_prior(5, 3, 8))
-    pm = multiplicity_prior(5, 3, 8)
-    ks = np.arange(6, dtype=np.longdouble)
-    w = pm.pmf.astype(np.longdouble) * np.exp(
-        -0.5 * (r[:, None] - ks[None, :]) ** 2 / np.longdouble(0.37))
-    w /= w.sum(axis=1, keepdims=True)
-    mean_ref = (w * ks).sum(axis=1)
-    var_ref = (w * (ks[None, :] - mean_ref[:, None]) ** 2).sum(axis=1)
-    check("denoiser matches direct summation",
-          float(np.abs(mean_fast - mean_ref).max()) < 1e-8
-          and float(np.abs(var_fast - var_ref).max()) < 1e-8)
-
-    mu = DiscreteMeasure.from_counts(np.array([1, 1]),
-                                     np.array([[0.0, 0.0], [1.0, 0.0]]))
-    nu = DiscreteMeasure.from_counts(np.array([1, 1]),
-                                     np.array([[0.0, 1.0], [1.0, 1.0]]))
-    dist, _ = wasserstein(mu, nu, 2.0)
-    check("wasserstein hand case", abs(dist - 1.0) < 1e-9)
-    d_self, _ = wasserstein(mu, mu, 2.0)
-    check("wasserstein identity", d_self < 1e-9)
-
-    check("rounding half away from zero",
-          np.array_equal(round_estimate(np.array([0.4, 2.5, -0.2]), 5),
-                         [0, 3, 0]))
-    check("snr conversion", abs(snr_from_db(-12.0) - 10 ** -1.2) < 1e-15)
-
-    quantizer = grid_codebook(64)
-    cb = hadamard_codebook(64, 64)
-    prior = multiplicity_prior(20, 30, 64)
-    ok = True
-    for trial in range(3):
-        srng = trial_rng(123, trial)
-        states = draw_targets(srng, 30)
-        assignment = srng.integers(0, 30, size=20)
-        k = true_multiplicity(states, assignment, quantizer)
-        received = transmit(cb, k, 0.0, srng, noiseless=True)
-        for alg in ("amp", "scalar_amp", "ep"):
-            report = decode(received, cb, prior,
-                            DecoderOptions(algorithm=alg))
-            ok = ok and np.array_equal(report.k_hat, k)
-            ok = ok and total_variation(k, report.k_hat) == 0.0
-    check("noiseless exact recovery (all decoders)", ok)
-
-    if failures:
-        print(f"selftest: {len(failures)} failure(s)")
-        return 1
-    print("selftest: all checks passed")
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="tuma",
@@ -259,12 +167,8 @@ def main(argv=None):
     sweep_p.add_argument("--values", nargs="+", type=float,
                          help="swept values")
 
-    sub.add_parser("selftest", help="fast numerical self-checks")
-
     args = parser.parse_args(argv)
     try:
-        if args.command == "selftest":
-            return _selftest()
         return _cmd_run_or_sweep(args, args.command)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -29,38 +29,36 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .scenario import DiscreteMeasure, _require
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
-from .denoiser import posterior_moments
+from .denoiser import XI_FLOOR, posterior_moments
 
 ALGORITHMS = ("amp", "scalar_amp", "ep")
+
+# Every variance-like quantity is clamped into [XI_FLOOR, VAR_CEILING].
+VAR_CEILING = 1e12
+# EP site updates in natural parameters: new = (1 - d) raw + d old.
+EP_DAMPING = 0.3
 
 
 @dataclass(frozen=True)
 class DecoderOptions:
     """Knobs shared by all decoders.
 
-    algorithm      -- one of "amp", "scalar_amp", "ep"
-    max_iters      -- iteration cap (early exit on a repeated rounded estimate)
-    ep_damping     -- EP site update damping in [0, 1); 0 is undamped
-    variance_clamp -- (floor, ceiling) applied to every variance-like quantity
-    early_stop     -- exit once the rounded estimate repeats (default).  The
-                      repeat heuristic can fire while dense systems are still
-                      converging slowly, so property tests that need the
-                      iteration's actual fixed point turn it off.
+    algorithm  -- one of "amp", "scalar_amp", "ep"
+    max_iters  -- iteration cap (early exit on a repeated rounded estimate)
+    early_stop -- exit once the rounded estimate repeats (default).  The
+                  repeat heuristic can fire while dense systems are still
+                  converging slowly, so property tests that need the
+                  iteration's actual fixed point turn it off.
     """
 
     algorithm: str = "amp"
     max_iters: int = 10
-    ep_damping: float = 0.3
-    variance_clamp: tuple = (1e-12, 1e12)
     early_stop: bool = True
 
     def __post_init__(self):
         _require(self.algorithm in ALGORITHMS,
                  f"algorithm must be one of {ALGORITHMS}")
         _require(self.max_iters >= 1, "max_iters must be positive")
-        _require(0.0 <= self.ep_damping < 1.0, "ep_damping must be in [0, 1)")
-        lo, hi = self.variance_clamp
-        _require(0 < lo < hi, "variance_clamp must be increasing and positive")
         _require(isinstance(self.early_stop, bool),
                  "early_stop must be a bool")
 
@@ -187,7 +185,6 @@ def amp_decode(received, cb, prior, options=None):
     n, m = cb.n, cb.m
     npw = n * received.power
     snp = np.sqrt(npw)
-    lo, _ = opts.variance_clamp
 
     loop = _Loop("amp", prior.ka, np.full(m, prior.mean), opts.early_stop)
     z = received.y - snp * apply(cb, loop.k_soft)
@@ -196,7 +193,7 @@ def amp_decode(received, cb, prior, options=None):
         xi = float(z @ z) / (n * npw)
         r = adjoint(cb, z) / snp + loop.k_soft
         loop.finite_or_raise(r, [xi])
-        xi = max(xi, lo)
+        xi = max(xi, XI_FLOOR)
         k_new, v_new = posterior_moments(r, xi, prior)
         onsager = (m / n) * float(np.mean(v_new)) / xi
         z = received.y - snp * apply(cb, k_new) + onsager * z
@@ -221,7 +218,6 @@ def scalar_amp_decode(received, cb, prior, options=None):
     npw = n * received.power
     snp = np.sqrt(npw)
     sigma2 = 1.0 / npw
-    lo, hi = opts.variance_clamp
 
     ys = received.y / snp
     loop = _Loop("scalar_amp", prior.ka, np.full(m, prior.mean),
@@ -239,7 +235,7 @@ def scalar_amp_decode(received, cb, prior, options=None):
             xi = 1.0 / sq_adjoint(cb, 1.0 / (sigma2 + v))
         r = loop.k_soft + xi * adjoint(cb, scaled)
         loop.finite_or_raise(r, xi)
-        xi = np.clip(xi, lo, hi)
+        xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
         k_new, v_soft = posterior_moments(r, xi, prior)
         loop.finite_or_raise(k_new, v_soft)
         residual = np.linalg.norm(received.y - snp * apply(cb, k_new))
@@ -334,8 +330,7 @@ def ep_decode(received, cb, prior, options=None):
     npw = cb.n * received.power
     snp = np.sqrt(npw)
     sigma2 = 1.0 / npw  # noise variance of the y' = y/sqrt(nP) model
-    lo, hi = opts.variance_clamp
-    damp = opts.ep_damping
+    lo, hi, damp = XI_FLOOR, VAR_CEILING, EP_DAMPING
 
     lin = snp * adjoint(cb, received.y)  # C^T y' / sigma2 = sqrt(nP) C^T y
     xor = (None if cb.orthonormal_columns

@@ -8,7 +8,7 @@ m'/ma, so the per-message multiplicity follows the binomial mixture
     p(k) = sum_{m'=0}^{ma} Bin(m'; ma, 1/m) Bin(k; ka, m'/ma).
 
 The decoders see each coordinate through an effective scalar observation
-r = k + N(0, xi).  posterior_mean / posterior_var are the tilted mean f and
+r = k + N(0, xi).  posterior_moments returns the tilted mean f and
 variance g of that model, evaluated over the prior's support only (counts
 with zero prior mass get exactly zero weight).  The log-weights are shifted
 by their maximum, so small xi does not overflow, and floored at
@@ -172,26 +172,19 @@ def _tilted(r, xi, prior):
 
 
 def posterior_moments(r, xi, prior):
-    """Tilted mean f and variance g in one pass; shapes follow r."""
+    """Tilted mean f = E[K | r] and variance g = Var[K | r] in one pass.
+
+    Shapes follow r: a scalar r gives two floats, a vector two arrays.
+    """
     mean, var = _tilted(r, xi, prior)
     if np.ndim(r) == 0:
         return float(mean[0]), float(var[0])
     return mean, var
 
 
-def posterior_mean(r, xi, prior):
-    """f(r, xi): E[K | r], the decoders' soft estimate of one coordinate."""
-    return posterior_moments(r, xi, prior)[0]
-
-
-def posterior_var(r, xi, prior):
-    """g(r, xi): Var[K | r]."""
-    return posterior_moments(r, xi, prior)[1]
-
-
 def posterior_mean_deriv(r, xi, prior):
     """df/dr = g / xi (xi clamped below at XI_FLOOR, like f and g)."""
     xi_c = np.maximum(np.asarray(xi, dtype=float), XI_FLOOR)
-    var = posterior_var(r, xi_c, prior)
+    var = posterior_moments(r, xi_c, prior)[1]
     out = var / xi_c
     return float(out) if np.ndim(r) == 0 else out

@@ -11,7 +11,6 @@ finite estimate and are counted in the diverged column.
 
 import csv
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -40,8 +39,9 @@ SWEEPABLE = ("ma", "bits", "n", "snr_db")
 class SweepSpec:
     """One sweep: a base configuration, a swept field, and decoders to run.
 
-    param may also be "none" (single-point run); values then must hold one
-    placeholder entry.
+    param may also be "none" (single-point run); values must then be
+    (None,).  A swept field takes no None, and ma, n and bits take whole
+    numbers only (see derive_config).
     """
 
     base: SystemConfig
@@ -53,14 +53,20 @@ class SweepSpec:
     def __post_init__(self):
         _require(self.param == "none" or self.param in SWEEPABLE,
                  f"param must be 'none' or one of {SWEEPABLE}")
-        _require(len(self.values) >= 1, "values must be nonempty")
+        if self.param == "none":
+            _require(tuple(self.values) == (None,),
+                     "param 'none' takes values=(None,)")
+        else:
+            _require(len(self.values) >= 1, "values must be nonempty")
+            for value in self.values:
+                derive_config(self.base, self.param, value)
         _require(not isinstance(self.decoders, str),
                  "decoders must be a sequence of decoder names")
         for dec in self.decoders:
             _require(dec in ALGORITHMS, f"unknown decoder {dec!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrialResult:
     """Metrics of one scene decoded by one decoder."""
 
@@ -70,7 +76,6 @@ class TrialResult:
     wp: float
     distortion: float
     iterations_run: int
-    wall_time_s: float
     diverged: bool
     fallback_used: bool
 
@@ -105,41 +110,36 @@ def run_trial(config, decoders, trial_index):
     for decoder in decoders:
         options = DecoderOptions(algorithm=decoder,
                                  max_iters=config.max_iters)
-        start = time.perf_counter()
         try:
             report = decode(received, cb, prior, options)
         except DecoderDiverged as err:
             report = err.report
-        wall = time.perf_counter() - start
         estimate = estimated_type(report.k_hat, quantizer)
         wp, _ = wasserstein(scene_type, estimate, config.p_order)
         results.append(TrialResult(
             trial_index=trial_index, decoder=decoder,
             tv=total_variation(k, report.k_hat), wp=wp,
             distortion=distortion, iterations_run=report.iterations_run,
-            wall_time_s=wall, diverged=report.diverged,
+            diverged=report.diverged,
             fallback_used=report.fallback_used))
     return results
 
 
-def worker_count():
-    """Workers from TUMA_THREADS, defaulting to the CPU count."""
-    raw = os.environ.get("TUMA_THREADS", "")
-    if raw.strip():
-        count = int(raw)
-        _require(count >= 1, "TUMA_THREADS must be >= 1")
-        return count
-    return os.cpu_count() or 1
-
-
 def derive_config(base, param, value):
-    """Base config with one swept field replaced ('bits' sets m = 2**value)."""
-    if param == "none" or value is None:
+    """Base config with one swept field replaced ('bits' sets m = 2**value).
+
+    ma, n and bits must be whole numbers: 3.0 is taken as 3, and 3.5 raises
+    ConfigError rather than running as 3.
+    """
+    if param == "none":
         return base
-    if param == "bits":
-        return replace(base, m=2 ** int(value))
+    _require(value is not None, f"swept {param} needs a value, not None")
     if param == "snr_db":
         return replace(base, snr_db=float(value))
+    _require(float(value).is_integer(),
+             f"{param} must be a whole number, got {value!r}")
+    if param == "bits":
+        return replace(base, m=2 ** int(value))
     return replace(base, **{param: int(value)})
 
 
@@ -184,7 +184,8 @@ def run_sweep(spec, workers=None, log=None):
     before the first scene and again each time a value's scenes are done,
     so an interrupted run leaves the rows finished so far.
     """
-    workers = worker_count() if workers is None else workers
+    if workers is None:
+        workers = os.cpu_count() or 1
     configs = [derive_config(spec.base, spec.param, v) for v in spec.values]
     tasks = [(config, spec.decoders, t)
              for config in configs for t in range(config.trials)]

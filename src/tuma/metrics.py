@@ -43,12 +43,6 @@ class TransportPlan:
     plan: np.ndarray
     objective: float
 
-    def row_marginals(self):
-        return self.plan.sum(axis=1)
-
-    def col_marginals(self):
-        return self.plan.sum(axis=0)
-
 
 def _lp_marginals(mu, nu):
     """Marginal vectors on a common scale; integer-exact when counts exist."""

@@ -115,6 +115,7 @@ class DiscreteMeasure:
     def from_counts(cls, counts, locations):
         """Normalized empirical measure from positive integer counts."""
         c = np.asarray(counts)
+        _require(np.issubdtype(c.dtype, np.integer), "counts must be integers")
         _require(c.size >= 1 and np.all(c >= 1), "counts must be positive")
         c = c.astype(np.int64)
         return cls(weights=c / c.sum(), locations=locations, counts=c)

@@ -23,6 +23,10 @@ Criteria:
 
 import itertools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 from mpmath import mp, mpf
@@ -39,6 +43,18 @@ from tuma import (DecoderOptions, DiscreteMeasure, SweepSpec, SystemConfig,
 from tuma.codebooks import adjoint, apply
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
 
+# Criteria 1 and 2 run their scenes on a pool; results do not depend on the
+# worker count (tests/test_harness.py checks pooled against serial rows).
+WORKERS = min(2, os.cpu_count() or 1)
+# Forked workers keep the parent's BLAS thread count, and two processes that
+# each run a multi-threaded OpenBLAS oversubscribe the CPUs: EP's LAPACK
+# calls then take about four times as long as serially.  BLAS reads its
+# thread count when it loads, so criterion 1 spawns its workers with these
+# variables set to 1.
+SINGLE_THREADED_BLAS = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+     "VECLIB_MAXIMUM_THREADS"), "1")
+
 
 # ---------------------------------------------------------------------------
 # criterion 1: decoder ordering
@@ -52,7 +68,12 @@ def paired_gap(tv_a, tv_b):
 
 def tv_per_trial(config):
     decoders = ("amp", "ep", "scalar_amp")
-    scenes = [run_trial(config, decoders, t) for t in range(config.trials)]
+    trials = config.trials
+    spawn = multiprocessing.get_context("spawn")
+    with (mock.patch.dict(os.environ, SINGLE_THREADED_BLAS),
+          ProcessPoolExecutor(WORKERS, mp_context=spawn) as pool):
+        scenes = list(pool.map(run_trial, [config] * trials,
+                               [decoders] * trials, range(trials)))
     return {decoder: np.array([results[i].tv for results in scenes])
             for i, decoder in enumerate(decoders)}
 
@@ -96,7 +117,7 @@ def test_criterion_2_codebook_size_sweep():
                         max_iters=10, trials=200, seed=11)
     bits = tuple(range(6, 15))
     rows = run_sweep(SweepSpec(base=base, param="bits", values=bits,
-                               decoders=("amp",)), workers=1)
+                               decoders=("amp",)), workers=WORKERS)
     tv = np.array([r["tv_mean"] for r in rows])
     se = np.array([r["tv_se"] for r in rows])
     wp = np.array([r["wp_mean"] for r in rows])

@@ -27,7 +27,6 @@ def test_noiseless_transmit_is_exact():
     received = transmit(cb, k, -12.0, np.random.default_rng(0), noiseless=True)
     expected = np.sqrt(16 * snr_from_db(-12.0)) * apply(cb, k.astype(float))
     assert np.array_equal(received.y, expected)
-    assert received.noiseless
     assert received.n == 16
     assert received.power == snr_from_db(-12.0)
 

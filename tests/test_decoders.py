@@ -19,9 +19,10 @@ from tuma import (ConfigError, DecoderDiverged, DecoderOptions, amp_decode,
                   decode, ep_decode, estimated_type, grid_codebook,
                   hadamard_codebook, multiplicity_prior, posterior_moments,
                   round_estimate, scalar_amp_decode, transmit, trial_rng)
+from tuma.decoders import EP_DAMPING, VAR_CEILING
+from tuma.denoiser import XI_FLOOR
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
 
-CLAMP_LO, CLAMP_HI = DecoderOptions().variance_clamp
 EPS = np.finfo(float).eps
 
 
@@ -83,8 +84,6 @@ def test_estimated_type_rejects_malformed_counts():
 
 @pytest.mark.parametrize("bad", [
     dict(algorithm="gradient_descent"), dict(max_iters=0),
-    dict(ep_damping=1.0), dict(ep_damping=-0.1),
-    dict(variance_clamp=(0.0, 1.0)), dict(variance_clamp=(1.0, 1.0)),
     dict(early_stop=1),
 ])
 def test_options_validation(bad):
@@ -228,7 +227,7 @@ def amp_reference(received, dense, prior, iterations):
     k = np.full(m, prior.mean)
     z = received.y - snp * (dense @ k)
     for _ in range(iterations):
-        xi = max(float(z @ z) / (n * npw), CLAMP_LO)
+        xi = max(float(z @ z) / (n * npw), XI_FLOOR)
         r = dense.T @ z / snp + k
         k, g = posterior_moments(r, xi, prior)
         correction = (m / n) * float(np.mean(g)) / xi
@@ -255,36 +254,36 @@ def scalar_amp_reference(received, dense, prior, iterations):
         scaled = (ys - z) / (sigma2 + v)
         xi = 1.0 / (squared.T @ (1.0 / (sigma2 + v)))
         r = k + xi * (dense.T @ scaled)
-        xi = np.clip(xi, CLAMP_LO, CLAMP_HI)
+        xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
         k, v_soft = posterior_moments(r, xi, prior)
     return k
 
 
-def ep_reference(received, cb, prior, iterations, damping=0.3):
+def ep_reference(received, cb, prior, iterations):
     """The EP site recursion, written out with the dense projection."""
     m = cb.m
     npw = cb.n * received.power
     sigma2 = 1.0 / npw
     lin = dense_codebook(cb).T @ (received.y / np.sqrt(npw)) / sigma2
-    var0 = np.clip(prior.var, CLAMP_LO, CLAMP_HI)
+    var0 = np.clip(prior.var, XI_FLOOR, VAR_CEILING)
     lam1 = np.full(m, 1.0 / var0)
     eta1 = np.full(m, prior.mean / var0)
     for _ in range(iterations):
-        xi1 = np.clip(1.0 / lam1, CLAMP_LO, CLAMP_HI)
+        xi1 = np.clip(1.0 / lam1, XI_FLOOR, VAR_CEILING)
         xi_hat, mu_hat = dense_ep_projection(cb, xi1, eta1, lin, sigma2)
-        xi_hat = np.clip(xi_hat, CLAMP_LO, CLAMP_HI)
-        xi0 = 1.0 / np.clip(1.0 / xi_hat - lam1, 1.0 / CLAMP_HI,
-                            1.0 / CLAMP_LO)
+        xi_hat = np.clip(xi_hat, XI_FLOOR, VAR_CEILING)
+        xi0 = 1.0 / np.clip(1.0 / xi_hat - lam1, 1.0 / VAR_CEILING,
+                            1.0 / XI_FLOOR)
         mu0 = xi0 * (mu_hat / xi_hat - eta1)
         k, v = posterior_moments(mu0, xi0, prior)
-        v = np.clip(v, CLAMP_LO, CLAMP_HI)
+        v = np.clip(v, XI_FLOOR, VAR_CEILING)
         lam_site = 1.0 / v - 1.0 / xi0
         valid = lam_site > 0
-        lam_site = np.where(valid, lam_site, 1.0 / CLAMP_HI)
+        lam_site = np.where(valid, lam_site, 1.0 / VAR_CEILING)
         eta_site = np.where(valid, k / v - mu0 / xi0, 0.0)
-        lam1 = np.clip((1.0 - damping) * lam_site + damping * lam1,
-                       1.0 / CLAMP_HI, 1.0 / CLAMP_LO)
-        eta1 = (1.0 - damping) * eta_site + damping * eta1
+        lam1 = np.clip((1.0 - EP_DAMPING) * lam_site + EP_DAMPING * lam1,
+                       1.0 / VAR_CEILING, 1.0 / XI_FLOOR)
+        eta1 = (1.0 - EP_DAMPING) * eta_site + EP_DAMPING * eta1
     return k
 
 
@@ -325,8 +324,7 @@ def test_ep_iterations_match_dense_reference(n, m, ka, ma, snr_db,
     options = DecoderOptions(algorithm="ep", max_iters=iterations,
                              early_stop=False)
     report = ep_decode(received, cb, prior, options)
-    reference = ep_reference(received, cb, prior, iterations,
-                             options.ep_damping)
+    reference = ep_reference(received, cb, prior, iterations)
     assert report.iterations_run == iterations
     assert np.abs(report.k_soft - reference).max() < tol
 

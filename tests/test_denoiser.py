@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_tilted
-from tuma import (ConfigError, CountPrior, multiplicity_prior, posterior_mean,
-                  posterior_mean_deriv, posterior_moments, posterior_var)
+from tuma import (ConfigError, CountPrior, multiplicity_prior,
+                  posterior_mean_deriv, posterior_moments)
 from tuma.denoiser import _BLOCK_CELLS
 
 
@@ -144,19 +144,21 @@ def test_posterior_hand_case_six_terms():
 
 def test_posterior_scalar_and_array_interfaces():
     prior = multiplicity_prior(5, 3, 8)
-    scalar = posterior_mean(1.3, 0.7, prior)
-    assert isinstance(scalar, float)
-    arr = posterior_mean(np.array([1.3, 1.3]), 0.7, prior)
-    assert arr.shape == (2,)
+    scalar, scalar_var = posterior_moments(1.3, 0.7, prior)
+    assert isinstance(scalar, float) and isinstance(scalar_var, float)
+    arr, arr_var = posterior_moments(np.array([1.3, 1.3]), 0.7, prior)
+    assert arr.shape == arr_var.shape == (2,)
     assert arr[0] == arr[1] == scalar
-    xi_vec = posterior_mean(np.array([1.3, 1.3]), np.array([0.7, 2.0]), prior)
+    assert arr_var[0] == arr_var[1] == scalar_var
+    xi_vec, _ = posterior_moments(np.array([1.3, 1.3]), np.array([0.7, 2.0]),
+                                  prior)
     assert xi_vec[0] == scalar and xi_vec[1] != scalar
 
 
 def test_posterior_limits():
     prior = multiplicity_prior(5, 3, 8)
     # huge noise: the observation is ignored, the prior mean comes back
-    assert abs(posterior_mean(4.7, 1e10, prior) - prior.mean) < 1e-3
+    assert abs(posterior_moments(4.7, 1e10, prior)[0] - prior.mean) < 1e-3
     # vanishing noise: the nearest supported count wins
     mean, var = posterior_moments(2.3, 1e-10, prior)
     assert abs(mean - 2.0) < 1e-6
@@ -165,7 +167,8 @@ def test_posterior_limits():
 
 def test_posterior_noise_floor_is_applied():
     prior = multiplicity_prior(5, 3, 8)
-    assert posterior_mean(2.3, 1e-15, prior) == posterior_mean(2.3, 1e-12, prior)
+    assert (posterior_moments(2.3, 1e-15, prior)
+            == posterior_moments(2.3, 1e-12, prior))
 
 
 def test_posterior_degenerate_priors():
@@ -303,8 +306,8 @@ def test_derivative_matches_finite_differences():
     r = rng.uniform(-1.0, 6.0, size=100)
     xi = 10.0 ** rng.uniform(-1, 1, size=100)
     h = 1e-5
-    fd = (posterior_mean(r + h, xi, prior)
-          - posterior_mean(r - h, xi, prior)) / (2 * h)
+    fd = (posterior_moments(r + h, xi, prior)[0]
+          - posterior_moments(r - h, xi, prior)[0]) / (2 * h)
     deriv = posterior_mean_deriv(r, xi, prior)
     assert np.abs(fd - deriv).max() < 1e-5 + 1e-4 * np.abs(deriv).max()
 
@@ -314,12 +317,13 @@ def test_derivative_is_variance_over_noise():
     r = np.linspace(-1.0, 21.0, 50)
     xi = 0.37
     assert np.allclose(posterior_mean_deriv(r, xi, prior),
-                       posterior_var(r, xi, prior) / xi, rtol=0, atol=1e-14)
+                       posterior_moments(r, xi, prior)[1] / xi,
+                       rtol=0, atol=1e-14)
 
 
 def test_posterior_mean_is_nondecreasing():
     prior = multiplicity_prior(5, 3, 8)
     r = np.linspace(-2.0, 7.0, 400)
-    f = posterior_mean(r, 0.5, prior)
+    f, _ = posterior_moments(r, 0.5, prior)
     assert np.all(np.diff(f) >= -1e-12)
     assert np.all(posterior_mean_deriv(r, 0.5, prior) >= 0.0)

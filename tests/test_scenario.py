@@ -80,6 +80,13 @@ def test_measure_rejects_bad_counts():
         DiscreteMeasure.from_counts([0, 2], np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("counts", [[1.5, 2.0], [1.0, 2.0], [True, True]])
+def test_measure_from_counts_rejects_non_integer_counts(counts):
+    # casting before checking would build [1.5, 2.0] as counts [1, 2]
+    with pytest.raises(ConfigError, match="integers"):
+        DiscreteMeasure.from_counts(counts, np.zeros((2, 2)))
+
+
 # ---------------------------------------------------------------------------
 # random streams
 
