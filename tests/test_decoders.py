@@ -85,7 +85,7 @@ def test_estimated_type_rejects_malformed_counts():
 @pytest.mark.parametrize("bad", [
     dict(algorithm="gradient_descent"), dict(max_iters=0),
     dict(early_stop=1),
-])
+], ids=["bad0", "bad1", "bad6"])
 def test_options_validation(bad):
     with pytest.raises(ConfigError):
         DecoderOptions(**bad)
