@@ -12,13 +12,12 @@ from .codebooks import (GridQuantizer, HadamardCodebook, adjoint, apply, fwht,
                         grid_codebook, hadamard_codebook, quantize, sq_adjoint,
                         sq_apply)
 from .channel import ReceivedSignal, snr_from_db, transmit
-from .denoiser import (CountPrior, multiplicity_prior, posterior_mean_deriv,
-                       posterior_moments)
+from .denoiser import CountPrior, multiplicity_prior, posterior_moments
 from .decoders import (ALGORITHMS, DecoderDiverged, DecoderOptions,
                        DecoderReport, amp_decode, decode, ep_decode,
-                       estimated_type, round_estimate, scalar_amp_decode)
-from .metrics import (TransportPlan, quantization_distortion, total_variation,
-                      wasserstein)
+                       round_estimate, scalar_amp_decode)
+from .metrics import (estimated_type, quantization_distortion,
+                      total_variation, wasserstein)
 from .harness import (CSV_COLUMNS, SweepSpec, TrialResult, aggregate,
                       derive_config, run_sweep, run_trial)
 
@@ -30,12 +29,11 @@ __all__ = [
     "GridQuantizer", "HadamardCodebook", "adjoint", "apply", "fwht",
     "grid_codebook", "hadamard_codebook", "quantize", "sq_adjoint", "sq_apply",
     "ReceivedSignal", "snr_from_db", "transmit",
-    "CountPrior", "multiplicity_prior", "posterior_mean_deriv",
-    "posterior_moments",
+    "CountPrior", "multiplicity_prior", "posterior_moments",
     "ALGORITHMS", "DecoderDiverged", "DecoderOptions", "DecoderReport",
-    "amp_decode", "decode", "ep_decode", "estimated_type", "round_estimate",
+    "amp_decode", "decode", "ep_decode", "round_estimate",
     "scalar_amp_decode",
-    "TransportPlan", "quantization_distortion", "total_variation",
+    "estimated_type", "quantization_distortion", "total_variation",
     "wasserstein",
     "CSV_COLUMNS", "SweepSpec", "TrialResult", "aggregate", "derive_config",
     "run_sweep", "run_trial",

@@ -38,16 +38,11 @@ class ReceivedSignal:
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
-    @property
-    def n(self):
-        return self.y.size
 
-
-def transmit(cb, k, snr_db, rng, noiseless=False):
+def transmit(cb, k, snr_db, rng):
     """Send multiplicity vector k through the Gaussian MAC.
 
-    y = sqrt(n P) C k + z, z ~ N(0, I_n); with noiseless=True, z = 0 (used by
-    exact-recovery checks).
+    y = sqrt(n P) C k + z, z ~ N(0, I_n).
     """
     k = np.asarray(k)
     _require(k.shape == (cb.m,), "k must have one entry per message")
@@ -55,6 +50,4 @@ def transmit(cb, k, snr_db, rng, noiseless=False):
              "k must be nonnegative integer counts")
     power = snr_from_db(snr_db)
     y = np.sqrt(cb.n * power) * apply(cb, k.astype(float))
-    if not noiseless:
-        y = y + rng.standard_normal(cb.n)
-    return ReceivedSignal(y=y, power=power)
+    return ReceivedSignal(y=y + rng.standard_normal(cb.n), power=power)

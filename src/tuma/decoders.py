@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .scenario import DiscreteMeasure, _require
+from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
 from .denoiser import XI_FLOOR, posterior_moments
 
@@ -58,7 +58,8 @@ class DecoderOptions:
     def __post_init__(self):
         _require(self.algorithm in ALGORITHMS,
                  f"algorithm must be one of {ALGORITHMS}")
-        _require(self.max_iters >= 1, "max_iters must be positive")
+        object.__setattr__(self, "max_iters",
+                           _whole(self.max_iters, "max_iters", 1))
         _require(isinstance(self.early_stop, bool),
                  "early_stop must be a bool")
 
@@ -100,20 +101,6 @@ def round_estimate(k_soft, ka):
     k_soft = np.asarray(k_soft, dtype=float)
     rounded = np.sign(k_soft) * np.floor(np.abs(k_soft) + 0.5)
     return np.clip(rounded, 0, ka).astype(np.int64)
-
-
-def estimated_type(k_hat, quantizer):
-    """Normalized discrete measure at cell centroids with masses k_hat.
-
-    k_hat must not be all zero; a DecoderReport's k_hat never is.
-    """
-    k = np.asarray(k_hat)
-    _require(k.ndim == 1 and k.size == quantizer.m, "k_hat must have m entries")
-    _require(np.issubdtype(k.dtype, np.integer) and np.all(k >= 0),
-             "k_hat must be nonnegative integers")
-    _require(k.sum() > 0, "k_hat must not be all zero")
-    keep = k > 0
-    return DiscreteMeasure.from_counts(k[keep], quantizer.centroids[keep])
 
 
 def _finalize(k_soft, ka):
@@ -225,10 +212,11 @@ def scalar_amp_decode(received, cb, prior, options=None):
     v_soft = np.full(m, prior.var)
     z = ys.copy()  # zero first-iteration correction term
     v = sq_apply(cb, v_soft)
+    c_k = apply(cb, loop.k_soft)  # C k_hat, carried over between iterations
     for _ in range(opts.max_iters):
         loop.iterations += 1
         v_new = sq_apply(cb, v_soft)
-        z = apply(cb, loop.k_soft) - v_new * (ys - z) / (sigma2 + v)
+        z = c_k - v_new * (ys - z) / (sigma2 + v)
         v = v_new
         scaled = (ys - z) / (sigma2 + v)
         with np.errstate(over="ignore"):
@@ -238,7 +226,8 @@ def scalar_amp_decode(received, cb, prior, options=None):
         xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
         k_new, v_soft = posterior_moments(r, xi, prior)
         loop.finite_or_raise(k_new, v_soft)
-        residual = np.linalg.norm(received.y - snp * apply(cb, k_new))
+        c_k = apply(cb, k_new)
+        residual = np.linalg.norm(received.y - snp * c_k)
         if loop.record(k_new, np.mean(xi), residual):
             break
     return loop.report()

@@ -181,10 +181,3 @@ def posterior_moments(r, xi, prior):
         return float(mean[0]), float(var[0])
     return mean, var
 
-
-def posterior_mean_deriv(r, xi, prior):
-    """df/dr = g / xi (xi clamped below at XI_FLOOR, like f and g)."""
-    xi_c = np.maximum(np.asarray(xi, dtype=float), XI_FLOOR)
-    var = posterior_moments(r, xi_c, prior)[1]
-    out = var / xi_c
-    return float(out) if np.ndim(r) == 0 else out

@@ -23,9 +23,9 @@ from .scenario import (SystemConfig, _require, assign_sensors, draw_targets,
 from .codebooks import grid_codebook, hadamard_codebook
 from .channel import transmit
 from .denoiser import multiplicity_prior
-from .decoders import (ALGORITHMS, DecoderDiverged, DecoderOptions, decode,
-                       estimated_type)
-from .metrics import quantization_distortion, total_variation, wasserstein
+from .decoders import ALGORITHMS, DecoderDiverged, DecoderOptions, decode
+from .metrics import (estimated_type, quantization_distortion,
+                      total_variation, wasserstein)
 
 CSV_COLUMNS = ("sweep_param", "value", "decoder", "n", "ka", "ma", "bits",
                "snr_db", "trials", "tv_mean", "tv_se", "wp_mean", "wp_se",
@@ -33,6 +33,11 @@ CSV_COLUMNS = ("sweep_param", "value", "decoder", "n", "ka", "ma", "bits",
                "fallback_count")
 
 SWEEPABLE = ("ma", "bits", "n", "snr_db")
+
+
+def _check_decoders(decoders):
+    _require(not isinstance(decoders, str) and len(decoders) >= 1,
+             "decoders must be a nonempty sequence of decoder names")
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,7 @@ class SweepSpec:
             _require(len(self.values) >= 1, "values must be nonempty")
             for value in self.values:
                 derive_config(self.base, self.param, value)
-        _require(not isinstance(self.decoders, str),
-                 "decoders must be a sequence of decoder names")
+        _check_decoders(self.decoders)
         for dec in self.decoders:
             _require(dec in ALGORITHMS, f"unknown decoder {dec!r}")
 
@@ -94,8 +98,7 @@ def run_trial(config, decoders, trial_index):
     stream depends only on (config.seed, trial_index), so the same trial can
     be reproduced in isolation.
     """
-    _require(not isinstance(decoders, str),
-             "decoders must be a sequence of decoder names")
+    _check_decoders(decoders)
     rng = trial_rng(config.seed, trial_index)
     quantizer, cb, prior = _assets(config.n, config.ka, config.ma, config.m)
     states = draw_targets(rng, config.ma)

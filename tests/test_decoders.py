@@ -14,7 +14,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import tuma.decoders
-from oracles import dense_codebook, dense_ep_projection
+from oracles import dense_codebook, dense_ep_projection, noiseless_transmit
 from tuma import (ConfigError, DecoderDiverged, DecoderOptions, amp_decode,
                   decode, ep_decode, estimated_type, grid_codebook,
                   hadamard_codebook, multiplicity_prior, posterior_moments,
@@ -34,7 +34,8 @@ def make_instance(n, m, ka, ma, snr_db, seed, noiseless=False):
     states = draw_targets(rng, ma)
     assignment = assign_sensors(rng, ka, ma)
     k = true_multiplicity(states, assignment, quantizer)
-    received = transmit(cb, k, snr_db, rng, noiseless=noiseless)
+    received = (noiseless_transmit(cb, k, snr_db) if noiseless
+                else transmit(cb, k, snr_db, rng))
     return cb, prior, k, received
 
 
@@ -84,11 +85,16 @@ def test_estimated_type_rejects_malformed_counts():
 
 @pytest.mark.parametrize("bad", [
     dict(algorithm="gradient_descent"), dict(max_iters=0),
-    dict(early_stop=1),
-], ids=["bad0", "bad1", "bad6"])
+    dict(early_stop=1), dict(max_iters=2.5), dict(max_iters=True),
+], ids=["bad0", "bad1", "bad6", "bad7", "bad8"])
 def test_options_validation(bad):
     with pytest.raises(ConfigError):
         DecoderOptions(**bad)
+
+
+def test_options_store_a_whole_iteration_cap_as_int():
+    assert type(DecoderOptions(max_iters=3.0).max_iters) is int
+    assert DecoderOptions(max_iters=3.0).max_iters == 3
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,28 @@ def test_decode_dispatches_by_algorithm():
         via_direct = direct(received, cb, prior, options)
         assert via_dispatch.algorithm == algorithm
         assert np.array_equal(via_dispatch.k_soft, via_direct.k_soft)
+
+
+@pytest.mark.parametrize("n,m", [(32, 64), (64, 32)])
+@pytest.mark.parametrize("algorithm", ["amp", "scalar_amp"])
+def test_amp_decoders_transform_each_estimate_forward_once(algorithm, n, m,
+                                                           monkeypatch):
+    # one forward transform of the initial estimate, then one per iteration
+    # for the new estimate, reused by the residual and the next iteration
+    cb, prior, _, received = make_instance(n, m, 10, 15, -3.0, seed=67)
+    calls = []
+    forward = tuma.decoders.apply
+
+    def counted(cb, x):
+        calls.append(x.shape)
+        return forward(cb, x)
+
+    monkeypatch.setattr(tuma.decoders, "apply", counted)
+    options = DecoderOptions(algorithm=algorithm, max_iters=7,
+                             early_stop=False)
+    report = decode(received, cb, prior, options)
+    assert report.iterations_run == 7 and not report.diverged
+    assert len(calls) == options.max_iters + 1
 
 
 @pytest.mark.parametrize("algorithm", ["amp", "scalar_amp", "ep"])

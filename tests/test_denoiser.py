@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_tilted
+from oracles import posterior_mean_deriv, reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior,
-                  posterior_mean_deriv, posterior_moments)
+                  posterior_moments)
 from tuma.denoiser import _BLOCK_CELLS
 
 

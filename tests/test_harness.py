@@ -39,6 +39,22 @@ def test_run_trial_rejects_a_bare_decoder_name():
         run_trial(TINY, "amp", 0)
 
 
+def test_run_trial_takes_whole_floats_as_integers():
+    floats = SystemConfig(n=16.0, ka=3.0, ma=2.0, m=16.0, snr_db=0.0,
+                          max_iters=3.0, trials=4.0, seed=9.0)
+    assert floats == replace(TINY, max_iters=3)
+    assert (run_trial(floats, ALL_DECODERS, 1)
+            == run_trial(replace(TINY, max_iters=3), ALL_DECODERS, 1))
+
+
+def test_an_empty_decoder_list_is_refused():
+    # it would simulate every scene and report nothing
+    with pytest.raises(ConfigError, match="nonempty"):
+        SweepSpec(base=TINY, decoders=())
+    with pytest.raises(ConfigError, match="nonempty"):
+        run_trial(TINY, (), 0)
+
+
 def test_trials_are_independent_of_execution_order():
     forward = [run_trial(TINY, ("amp",), t)[0] for t in range(4)]
     backward = [run_trial(TINY, ("amp",), t)[0] for t in (3, 2, 1, 0)]

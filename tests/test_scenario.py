@@ -27,11 +27,23 @@ def test_config_accepts_reference_parameters():
     dict(n=0), dict(n=-3), dict(ka=0), dict(ma=0),
     dict(m=3), dict(m=1), dict(m=0), dict(snr_db=float("nan")),
     dict(snr_db=float("inf")), dict(p_order=0.5), dict(max_iters=0),
-    dict(trials=0), dict(seed=-1),
+    dict(trials=0), dict(seed=-1), dict(p_order=float("inf")),
+    dict(n=True), dict(ma=True), dict(max_iters=True), dict(seed=False),
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ConfigError):
         SystemConfig(**{**BASE, **bad})
+
+
+WHOLE = dict(n=4, ka=2, ma=2, m=8, max_iters=3, trials=2, seed=1)
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE))
+def test_config_stores_whole_floats_as_int(name):
+    # 3.0 runs as 3: seeds, array sizes and bit tests all need an int
+    cfg = SystemConfig(**{**BASE, name: float(WHOLE[name])})
+    assert type(getattr(cfg, name)) is int
+    assert getattr(cfg, name) == WHOLE[name]
 
 
 @pytest.mark.parametrize("m,bits", [(2, 1), (4, 2), (1024, 10), (2**18, 18)])
@@ -44,47 +56,47 @@ def test_config_bits_property(m, bits):
 
 
 def test_measure_from_counts_normalizes():
-    mu = DiscreteMeasure.from_counts([1, 3], [[0.0, 0.0], [1.0, 1.0]])
+    mu = DiscreteMeasure([1, 3], [[0.0, 0.0], [1.0, 1.0]])
     assert np.allclose(mu.weights, [0.25, 0.75])
     assert np.array_equal(mu.counts, [1, 3])
+    assert mu.counts.dtype == np.int64
     assert mu.size == 2
 
 
 def test_measure_arrays_are_read_only():
-    mu = DiscreteMeasure.from_counts([1, 1], [[0.0, 0.0], [1.0, 1.0]])
+    mu = DiscreteMeasure([1, 1], [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         mu.weights[0] = 0.9
+    with pytest.raises(ValueError):
+        mu.counts[0] = 2
     with pytest.raises(ValueError):
         mu.locations[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("weights,locations", [
-    ([0.5, 0.4], [[0, 0], [1, 1]]),          # does not sum to one
-    ([1.5, -0.5], [[0, 0], [1, 1]]),         # negative weight
-    ([0.5, 0.5], [[0, 0]]),                  # shape mismatch
-    ([1.0], [[0, 0, 0]]),                    # locations not planar
-    ([float("nan")], [[0, 0]]),              # non-finite
-])
-def test_measure_rejects_malformed_data(weights, locations):
+@pytest.mark.parametrize("counts,locations", [
+    ([], np.zeros((0, 2))),                  # empty
+    ([[1, 1]], [[0, 0], [1, 1]]),            # counts not a vector
+    ([1, 1], [[0, 0]]),                      # shape mismatch
+    ([1], [[0, 0, 0]]),                      # locations not planar
+    ([1], [[float("nan"), 0]]),              # non-finite
+], ids=[f"weights{i}-locations{i}" for i in range(5)])
+def test_measure_rejects_malformed_data(counts, locations):
     with pytest.raises(ConfigError):
-        DiscreteMeasure(weights=np.asarray(weights, dtype=float),
-                        locations=np.asarray(locations, dtype=float))
+        DiscreteMeasure(np.asarray(counts, dtype=np.int64), locations)
 
 
 def test_measure_rejects_bad_counts():
     with pytest.raises(ConfigError):
-        DiscreteMeasure(weights=np.array([0.5, 0.5]),
-                        locations=np.zeros((2, 2)),
-                        counts=np.array([0.5, 1.5]))
+        DiscreteMeasure([0, 2], np.zeros((2, 2)))
     with pytest.raises(ConfigError):
-        DiscreteMeasure.from_counts([0, 2], np.zeros((2, 2)))
+        DiscreteMeasure([3, -1], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("counts", [[1.5, 2.0], [1.0, 2.0], [True, True]])
 def test_measure_from_counts_rejects_non_integer_counts(counts):
     # casting before checking would build [1.5, 2.0] as counts [1, 2]
     with pytest.raises(ConfigError, match="integers"):
-        DiscreteMeasure.from_counts(counts, np.zeros((2, 2)))
+        DiscreteMeasure(counts, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
