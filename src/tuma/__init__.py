@@ -14,8 +14,7 @@ from .codebooks import (GridQuantizer, HadamardCodebook, adjoint, apply, fwht,
 from .channel import ReceivedSignal, snr_from_db, transmit
 from .denoiser import CountPrior, multiplicity_prior, posterior_moments
 from .decoders import (ALGORITHMS, DecoderDiverged, DecoderOptions,
-                       DecoderReport, amp_decode, decode, ep_decode,
-                       round_estimate, scalar_amp_decode)
+                       DecoderReport, decode, round_estimate)
 from .metrics import (estimated_type, quantization_distortion,
                       total_variation, wasserstein)
 from .harness import (CSV_COLUMNS, SweepSpec, TrialResult, aggregate,
@@ -31,8 +30,7 @@ __all__ = [
     "ReceivedSignal", "snr_from_db", "transmit",
     "CountPrior", "multiplicity_prior", "posterior_moments",
     "ALGORITHMS", "DecoderDiverged", "DecoderOptions", "DecoderReport",
-    "amp_decode", "decode", "ep_decode", "round_estimate",
-    "scalar_amp_decode",
+    "decode", "round_estimate",
     "estimated_type", "quantization_distortion", "total_variation",
     "wasserstein",
     "CSV_COLUMNS", "SweepSpec", "TrialResult", "aggregate", "derive_config",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ConfigError, _require, _is_pow2
+from .scenario import ConfigError, _require, _is_pow2, _whole
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,8 @@ class GridQuantizer:
 
 def grid_codebook(m):
     """Build the m-cell grid quantizer, m a power of two (at least 2)."""
-    _require(_is_pow2(m) and m >= 2, "quantizer size must be a power of two >= 2")
+    m = _whole(m, "quantizer size", 2)
+    _require(_is_pow2(m), "quantizer size must be a power of two >= 2")
     b = int(m).bit_length() - 1
     rows = 1 << ((b + 1) // 2)
     cols = 1 << (b // 2)
@@ -140,21 +141,21 @@ _ROW_SEED = 0x5EED
 
 def hadamard_codebook(n, m):
     """Build the n x m codebook; m must be a power of two >= 2."""
-    _require(_is_pow2(m) and m >= 2, "codebook size must be a power of two >= 2")
-    _require(int(n) == n and n >= 1, "n must be a positive integer")
+    n, m = _whole(n, "n", 1), _whole(m, "codebook size", 2)
+    _require(_is_pow2(m), "codebook size must be a power of two >= 2")
     if n < m:
         # Pseudorandom subset of rows 1..m-1 (never the all-ones row 0),
         # seeded by the geometry alone.  A spread-out subset keeps distinct
         # columns distinguishable; see the module docstring.
-        seq = np.random.SeedSequence(entropy=_ROW_SEED, spawn_key=(int(n), int(m)))
+        seq = np.random.SeedSequence(entropy=_ROW_SEED, spawn_key=(n, m))
         picker = np.random.default_rng(seq)
-        row_ids = np.sort(picker.choice(m - 1, size=int(n), replace=False) + 1)
+        row_ids = np.sort(picker.choice(m - 1, size=n, replace=False) + 1)
         scale = 1.0 / np.sqrt(n)
     else:
         row_ids = np.arange(m)
         scale = 1.0 / np.sqrt(m)
     row_ids.setflags(write=False)
-    return HadamardCodebook(n=int(n), m=int(m), row_ids=row_ids, scale=scale)
+    return HadamardCodebook(n=n, m=m, row_ids=row_ids, scale=scale)
 
 
 def apply(cb, v):

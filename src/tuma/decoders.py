@@ -14,11 +14,13 @@ differ in how they track the effective observation and its uncertainty:
                 exact multivariate Gaussian projection of the full likelihood,
                 and moment matching against the count prior.
 
-Every decoder reports the soft posterior-mean estimate, the rounded and
-clamped integer estimate, and per-iteration diagnostics.  Iterations stop
-early once the rounded estimate repeats (disable via options.early_stop to
-run the full iteration budget); non-finite state raises DecoderDiverged
-carrying a report built from the last finite estimate.
+Each decoder is a private generator of per-iteration updates; decode, the
+one entry point, runs all three through one loop.  It reports the soft
+posterior-mean estimate, the rounded and clamped integer estimate, and
+per-iteration diagnostics.  Iterations stop early once the rounded estimate
+repeats (disable via options.early_stop to run the full iteration budget);
+non-finite state raises DecoderDiverged carrying a report built from the
+last finite estimate.
 """
 
 from dataclasses import dataclass
@@ -72,9 +74,12 @@ class DecoderReport:
     k_soft         -- posterior-mean estimate the rounding was applied to
     iterations_run -- iterations actually executed
     xi_track       -- mean effective noise variance per iteration
-    residual_track -- residual norm per iteration
+    residual_track -- residual norm per iteration: for amp the Onsager-
+                      corrected ||z||, for scalar_amp and ep
+                      ||y - sqrt(nP) C k_soft||
     fallback_used  -- True if the all-zero rounding fallback fired
     diverged       -- True if the run was cut short by non-finite values
+                      or an EP projection that failed to factor
     """
 
     algorithm: str
@@ -103,94 +108,38 @@ def round_estimate(k_soft, ka):
     return np.clip(rounded, 0, ka).astype(np.int64)
 
 
-def _finalize(k_soft, ka):
-    """Rounded estimate with the all-zero fallback; returns (k_hat, fallback)."""
-    k_hat = round_estimate(k_soft, ka)
-    fallback = k_hat.sum() == 0
-    if fallback:
-        k_hat[int(np.argmax(k_soft))] = 1
-    return k_hat, fallback
+def _finite(*arrays):
+    """Raise FloatingPointError unless every array is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise FloatingPointError("non-finite decoder state")
 
 
-class _Loop:
-    """Shared bookkeeping: early stopping, diagnostics, divergence reports."""
-
-    def __init__(self, algorithm, ka, init_soft, early_stop=True):
-        self.algorithm = algorithm
-        self.ka = ka
-        self.k_soft = np.asarray(init_soft, dtype=float)
-        self.early_stop = early_stop
-        self.prev_rounded = None
-        self.xi_track = []
-        self.residual_track = []
-        self.iterations = 0
-
-    def diverged(self):
-        report = self.report(diverged=True)
-        return DecoderDiverged(report)
-
-    def finite_or_raise(self, *arrays):
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise self.diverged()
-
-    def record(self, k_soft, xi_mean, residual):
-        """Accept the iteration's estimate; True once rounding has settled.
-
-        Settled means the rounded estimates of two consecutive iterations
-        coincide.  With early stopping disabled the loop always runs to the
-        iteration cap and this never returns True.
-        """
-        self.k_soft = k_soft
-        self.xi_track.append(float(xi_mean))
-        self.residual_track.append(float(residual))
-        rounded = round_estimate(k_soft, self.ka)
-        repeated = self.prev_rounded is not None and np.array_equal(
-            rounded, self.prev_rounded)
-        self.prev_rounded = rounded
-        return repeated and self.early_stop
-
-    def report(self, diverged=False):
-        k_hat, fallback = _finalize(self.k_soft, self.ka)
-        return DecoderReport(algorithm=self.algorithm, k_hat=k_hat,
-                             k_soft=self.k_soft,
-                             iterations_run=self.iterations,
-                             xi_track=tuple(self.xi_track),
-                             residual_track=tuple(self.residual_track),
-                             fallback_used=bool(fallback), diverged=diverged)
-
-
-def amp_decode(received, cb, prior, options=None):
+def _amp(received, cb, prior, k):
     """AMP with a scalar effective-noise track.
 
     Per iteration: r = (C^T z + sqrt(nP) k_hat) / sqrt(nP) is treated as
     k + N(0, xi) with xi = ||z||^2 / (n nP); the denoised estimate feeds the
     next residual z = y - sqrt(nP) C k_hat + (m/n) <f'> z_prev, whose last
     term is the Onsager correction with <f'> the mean denoiser derivative
-    g / xi.
+    g / xi.  The residual reported is ||z||, correction included.
     """
-    opts = options or DecoderOptions(algorithm="amp")
     n, m = cb.n, cb.m
     npw = n * received.power
     snp = np.sqrt(npw)
-
-    loop = _Loop("amp", prior.ka, np.full(m, prior.mean), opts.early_stop)
-    z = received.y - snp * apply(cb, loop.k_soft)
-    for _ in range(opts.max_iters):
-        loop.iterations += 1
+    z = received.y - snp * apply(cb, k)
+    while True:
         xi = float(z @ z) / (n * npw)
-        r = adjoint(cb, z) / snp + loop.k_soft
-        loop.finite_or_raise(r, [xi])
+        r = adjoint(cb, z) / snp + k
+        _finite(r, [xi])
         xi = max(xi, XI_FLOOR)
-        k_new, v_new = posterior_moments(r, xi, prior)
-        onsager = (m / n) * float(np.mean(v_new)) / xi
-        z = received.y - snp * apply(cb, k_new) + onsager * z
-        loop.finite_or_raise(k_new, z)
-        if loop.record(k_new, xi, np.linalg.norm(z)):
-            break
-    return loop.report()
+        k, v = posterior_moments(r, xi, prior)
+        onsager = (m / n) * float(np.mean(v)) / xi
+        z = received.y - snp * apply(cb, k) + onsager * z
+        _finite(k, z)
+        yield k, xi, np.linalg.norm(z)
 
 
-def scalar_amp_decode(received, cb, prior, options=None):
+def _scalar_amp(received, cb, prior, k):
     """Generalized AMP with per-coordinate variance tracks.
 
     Works on the rescaled model y' = y/sqrt(nP) = C k + N(0, sigma2 I) with
@@ -200,37 +149,29 @@ def scalar_amp_decode(received, cb, prior, options=None):
     observations r = k_hat + xi C^T ((y' - z)/(sigma2 + v)), then moment
     matching against the count prior.
     """
-    opts = options or DecoderOptions(algorithm="scalar_amp")
-    n, m = cb.n, cb.m
-    npw = n * received.power
+    npw = cb.n * received.power
     snp = np.sqrt(npw)
     sigma2 = 1.0 / npw
 
     ys = received.y / snp
-    loop = _Loop("scalar_amp", prior.ka, np.full(m, prior.mean),
-                 opts.early_stop)
-    v_soft = np.full(m, prior.var)
+    v_soft = np.full(cb.m, prior.var)
     z = ys.copy()  # zero first-iteration correction term
     v = sq_apply(cb, v_soft)
-    c_k = apply(cb, loop.k_soft)  # C k_hat, carried over between iterations
-    for _ in range(opts.max_iters):
-        loop.iterations += 1
+    c_k = apply(cb, k)  # C k_hat, carried over between iterations
+    while True:
         v_new = sq_apply(cb, v_soft)
         z = c_k - v_new * (ys - z) / (sigma2 + v)
         v = v_new
         scaled = (ys - z) / (sigma2 + v)
         with np.errstate(over="ignore"):
             xi = 1.0 / sq_adjoint(cb, 1.0 / (sigma2 + v))
-        r = loop.k_soft + xi * adjoint(cb, scaled)
-        loop.finite_or_raise(r, xi)
+        r = k + xi * adjoint(cb, scaled)
+        _finite(r, xi)
         xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
-        k_new, v_soft = posterior_moments(r, xi, prior)
-        loop.finite_or_raise(k_new, v_soft)
-        c_k = apply(cb, k_new)
-        residual = np.linalg.norm(received.y - snp * c_k)
-        if loop.record(k_new, np.mean(xi), residual):
-            break
-    return loop.report()
+        k, v_soft = posterior_moments(r, xi, prior)
+        _finite(k, v_soft)
+        c_k = apply(cb, k)
+        yield k, np.mean(xi), np.linalg.norm(received.y - snp * c_k)
 
 
 def _ep_projection(cb, xor, xi1, eta1, lin, sigma2):
@@ -286,15 +227,15 @@ def _ep_projection(cb, xor, xi1, eta1, lin, sigma2):
     return xi0_hat, mu0_hat
 
 
-def ep_decode(received, cb, prior, options=None):
+def _ep(received, cb, prior, k):
     """Expectation propagation with Gaussian sites.
 
-    Sites start at the prior-matched Gaussian N(prior.mean, prior.var), so
-    the first Gaussian projection is already the Gaussian approximation of
-    the full posterior.  Per iteration: exact Gaussian projection of sites
-    times likelihood, cavity update by natural-parameter subtraction, tilted
-    moments of the cavity-tilted count prior, then the site update, damped
-    in natural parameters.
+    Sites start at the prior-matched Gaussian N(k, prior.var), k being the
+    prior mean, so the first Gaussian projection is already the Gaussian
+    approximation of the full posterior.  Per iteration: exact Gaussian
+    projection of sites times likelihood, cavity update by natural-parameter
+    subtraction, tilted moments of the cavity-tilted count prior, then the
+    site update, damped in natural parameters.
 
     For n < m the projection works on the n x n Woodbury system
     S = sigma2 I + C Xi1 C^T.  Rows of a Sylvester-Hadamard codebook
@@ -304,7 +245,7 @@ def ep_decode(received, cb, prior, options=None):
     An iteration costs O(n^3 + m log m) time and O(n^2 + m) memory; no
     n x m matrix is ever formed.  For n >= m the projection is elementwise.
     A projection whose S fails to factor as positive definite raises
-    DecoderDiverged, like any other non-finite state.
+    numpy.linalg.LinAlgError, which decode reports as DecoderDiverged.
 
     Two safeguards keep the natural parameters in range: a site update
     whose precision would be non-positive resets that site to (near-)flat,
@@ -315,7 +256,6 @@ def ep_decode(received, cb, prior, options=None):
     at zero, so the floor is reserved for true spikes coming out of the
     moment match.
     """
-    opts = options or DecoderOptions(algorithm="ep")
     npw = cb.n * received.power
     snp = np.sqrt(npw)
     sigma2 = 1.0 / npw  # noise variance of the y' = y/sqrt(nP) model
@@ -326,49 +266,73 @@ def ep_decode(received, cb, prior, options=None):
            else np.bitwise_xor.outer(cb.row_ids, cb.row_ids))
     var0 = np.clip(prior.var, lo, hi)
     lam1 = np.full(cb.m, 1.0 / var0)
-    eta1 = np.full(cb.m, prior.mean / var0)
-    loop = _Loop("ep", prior.ka, np.full(cb.m, prior.mean), opts.early_stop)
-    for _ in range(opts.max_iters):
-        loop.iterations += 1
+    eta1 = k / var0
+    while True:
         # Gaussian projection of sites x likelihood
         xi1 = np.clip(1.0 / lam1, lo, hi)
-        try:
-            xi0_hat, mu0_hat = _ep_projection(cb, xor, xi1, eta1, lin,
-                                              sigma2)
-        except np.linalg.LinAlgError as exc:
-            raise loop.diverged() from exc
-        loop.finite_or_raise(xi0_hat, mu0_hat)
+        xi0_hat, mu0_hat = _ep_projection(cb, xor, xi1, eta1, lin, sigma2)
+        _finite(xi0_hat, mu0_hat)
         xi0_hat = np.clip(xi0_hat, lo, hi)
         # cavity update: remove each site from its marginal
         lam0 = np.clip(1.0 / xi0_hat - lam1, 1.0 / hi, 1.0 / lo)
         eta0 = mu0_hat / xi0_hat - eta1
         xi0 = 1.0 / lam0
         mu0 = xi0 * eta0
-        loop.finite_or_raise(mu0, xi0)
+        _finite(mu0, xi0)
         # tilted moments of the cavity-tilted count prior
-        k_new, v_new = posterior_moments(mu0, xi0, prior)
-        loop.finite_or_raise(k_new, v_new)
-        v_new = np.clip(v_new, lo, hi)
+        k, v = posterior_moments(mu0, xi0, prior)
+        _finite(k, v)
+        v = np.clip(v, lo, hi)
         # site update: divide the tilted marginal by the cavity
-        lam_raw = 1.0 / v_new - 1.0 / xi0
-        eta_raw = k_new / v_new - mu0 / xi0
+        lam_raw = 1.0 / v - 1.0 / xi0
+        eta_raw = k / v - mu0 / xi0
         valid = lam_raw > 0
         lam_new = np.where(valid, lam_raw, 1.0 / hi)
         eta_new = np.where(valid, eta_raw, 0.0)
         lam1 = (1.0 - damp) * lam_new + damp * lam1
         eta1 = (1.0 - damp) * eta_new + damp * eta1
         lam1 = np.clip(lam1, 1.0 / hi, 1.0 / lo)
-        residual = np.linalg.norm(received.y - snp * apply(cb, k_new))
-        if loop.record(k_new, np.mean(xi0), residual):
-            break
-    return loop.report()
+        yield k, np.mean(xi0), np.linalg.norm(received.y - snp * apply(cb, k))
 
 
-_DECODERS = {"amp": amp_decode, "scalar_amp": scalar_amp_decode,
-             "ep": ep_decode}
+_UPDATES = {"amp": _amp, "scalar_amp": _scalar_amp, "ep": _ep}
 
 
 def decode(received, cb, prior, options):
-    """Dispatch to the decoder selected by options.algorithm."""
-    _require(options.algorithm in _DECODERS, "unknown algorithm")
-    return _DECODERS[options.algorithm](received, cb, prior, options)
+    """Run the decoder options.algorithm names; returns a DecoderReport.
+
+    Every decoder is a generator that starts from the prior mean and yields
+    (k_soft, xi_mean, residual) once per iteration.  The loop stops after
+    options.max_iters iterations, or once two consecutive iterations round
+    to the same estimate (unless options.early_stop is off).  Non-finite
+    decoder state, or an EP projection that fails to factor, raises
+    DecoderDiverged carrying the report of the last accepted estimate.
+    """
+    k_soft = np.full(cb.m, prior.mean)
+    updates = _UPDATES[options.algorithm](received, cb, prior, k_soft)
+    xi_track, residual_track = [], []
+    iterations, rounded, failure = 0, None, None
+    try:
+        while iterations < options.max_iters:
+            iterations += 1
+            k_soft, xi_mean, residual = next(updates)
+            xi_track.append(float(xi_mean))
+            residual_track.append(float(residual))
+            previous, rounded = rounded, round_estimate(k_soft, prior.ka)
+            if (options.early_stop and previous is not None
+                    and np.array_equal(rounded, previous)):
+                break
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        failure = exc
+    k_hat = round_estimate(k_soft, prior.ka)
+    fallback = k_hat.sum() == 0  # estimated_type needs a nonzero count
+    if fallback:
+        k_hat[int(np.argmax(k_soft))] = 1
+    report = DecoderReport(
+        algorithm=options.algorithm, k_hat=k_hat, k_soft=k_soft,
+        iterations_run=iterations, xi_track=tuple(xi_track),
+        residual_track=tuple(residual_track), fallback_used=bool(fallback),
+        diverged=failure is not None)
+    if failure is not None:
+        raise DecoderDiverged(report) from failure
+    return report

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .scenario import _require
+from .scenario import _require, _whole
 
 XI_FLOOR = 1e-12  # effective noise variances are clamped below at this
 
@@ -71,7 +71,8 @@ def _binom_log_table(n_trials, log_p, log_1mp):
 
 def multiplicity_prior(ka, ma, m):
     """Marginal prior of one multiplicity for a (ka, ma, m) system."""
-    _require(ka >= 1 and ma >= 1 and m >= 2, "need ka >= 1, ma >= 1, m >= 2")
+    ka, ma = _whole(ka, "ka", 1), _whole(ma, "ma", 1)
+    m = _whole(m, "m", 2)
     mm = np.arange(ma + 1)
     # mixture weights: log Bin(m'; ma, 1/m)
     log_w = _binom_log_table(ma, np.log(1.0 / m), np.log1p(-1.0 / m))

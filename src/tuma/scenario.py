@@ -72,6 +72,11 @@ class SystemConfig:
             object.__setattr__(self, name, _whole(getattr(self, name), name,
                                                   low))
         _require(_is_pow2(self.m), "m must be a power of two")
+        for name in ("snr_db", "p_order"):
+            value = getattr(self, name)
+            _require(isinstance(value, numbers.Real)
+                     and not isinstance(value, bool),
+                     f"{name} must be a real number")
         _require(np.isfinite(self.snr_db), "snr_db must be finite")
         _require(np.isfinite(self.p_order) and self.p_order >= 1.0,
                  "p_order must be finite and >= 1")
@@ -123,14 +128,12 @@ def trial_rng(seed, trial_index):
 
 def draw_targets(rng, ma):
     """Draw ma target states uniformly on [0,1]^2, shape (ma, 2)."""
-    _require(ma >= 1, "ma must be positive")
-    return rng.random((ma, 2))
+    return rng.random((_whole(ma, "ma", 1), 2))
 
 
 def assign_sensors(rng, ka, ma):
     """Assign each of ka sensors a target index, uniform over range(ma)."""
-    _require(ka >= 1 and ma >= 1, "ka and ma must be positive")
-    return rng.integers(0, ma, size=ka)
+    return rng.integers(0, _whole(ma, "ma", 1), size=_whole(ka, "ka", 1))
 
 
 def _check_scene(states, assignment):

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import tuma.decoders
 from oracles import dense_codebook, dense_ep_projection, noiseless_transmit
-from tuma import (ConfigError, DecoderDiverged, DecoderOptions, amp_decode,
-                  decode, ep_decode, estimated_type, grid_codebook,
-                  hadamard_codebook, multiplicity_prior, posterior_moments,
-                  round_estimate, scalar_amp_decode, transmit, trial_rng)
+from tuma import (ALGORITHMS, ConfigError, DecoderDiverged, DecoderOptions,
+                  decode, estimated_type, grid_codebook, hadamard_codebook,
+                  multiplicity_prior, posterior_moments, round_estimate,
+                  transmit, trial_rng)
 from tuma.decoders import EP_DAMPING, VAR_CEILING
 from tuma.denoiser import XI_FLOOR
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
@@ -121,24 +121,35 @@ def test_noiseless_truncated_codebook_recovers_exactly(algorithm):
 def test_early_stopping_on_settled_estimates():
     cb, prior, k, received = make_instance(32, 32, 10, 15, 0.0, seed=55,
                                            noiseless=True)
-    report = amp_decode(received, cb, prior, DecoderOptions(max_iters=10))
+    report = decode(received, cb, prior, DecoderOptions(max_iters=10))
     assert 2 <= report.iterations_run < 10
     assert len(report.xi_track) == report.iterations_run
     assert len(report.residual_track) == report.iterations_run
 
 
-def test_early_stop_fires_on_consecutive_rounding_repeat():
-    loop = tuma.decoders._Loop("amp", 5, np.array([1.0, 2.0]))
-    assert not loop.record(np.array([1.1, 2.0]), 1.0, 8.0)  # first look
-    assert not loop.record(np.array([1.9, 2.1]), 0.5, 4.0)  # rounding moved
-    assert loop.record(np.array([2.1, 1.8]), 0.4, 2.0)      # repeat: settled
+def test_early_stop_fires_on_consecutive_rounding_repeat(monkeypatch):
+    # the scripted estimates round to [1, 2], then [2, 2] (moved), then
+    # [2, 2] again (repeat: settled), so every decoder stops after three
+    cb, prior, _, received = make_instance(2, 2, 5, 3, 0.0, seed=61)
+    script = [np.array([1.1, 2.0]), np.array([1.9, 2.1]),
+              np.array([2.1, 1.8])]
+    for algorithm in ALGORITHMS:
+        steps = iter(script)
+        monkeypatch.setattr(tuma.decoders, "posterior_moments",
+                            lambda r, xi, prior, steps=steps:
+                            (next(steps), np.full(2, 0.5)))
+        report = decode(received, cb, prior,
+                        DecoderOptions(algorithm=algorithm))
+        assert report.iterations_run == 3
+        assert np.array_equal(report.k_soft, script[-1])
+        assert len(report.xi_track) == len(report.residual_track) == 3
 
 
 def test_early_stop_disabled_runs_full_budget():
     cb, prior, k, received = make_instance(32, 32, 10, 15, 0.0, seed=55,
                                            noiseless=True)
     options = DecoderOptions(max_iters=10, early_stop=False)
-    report = amp_decode(received, cb, prior, options)
+    report = decode(received, cb, prior, options)
     assert report.iterations_run == 10
     assert np.array_equal(report.k_hat, k)
 
@@ -146,7 +157,7 @@ def test_early_stop_disabled_runs_full_budget():
 def test_tracks_shrink_on_noiseless_decodes():
     cb, prior, k, received = make_instance(32, 32, 10, 15, 0.0, seed=57,
                                            noiseless=True)
-    report = amp_decode(received, cb, prior)
+    report = decode(received, cb, prior, DecoderOptions())
     assert report.xi_track[-1] < report.xi_track[0]
     assert report.residual_track[-1] < report.residual_track[0]
 
@@ -156,7 +167,7 @@ def test_pure_noise_falls_back_to_single_atom():
     prior = multiplicity_prior(5, 3, 64)
     received = transmit(cb, np.zeros(64, dtype=np.int64), -30.0,
                         trial_rng(59, 0))
-    report = amp_decode(received, cb, prior)
+    report = decode(received, cb, prior, DecoderOptions())
     assert report.fallback_used
     assert report.k_hat.sum() == 1
     measure = estimated_type(report.k_hat, grid_codebook(64))
@@ -165,14 +176,14 @@ def test_pure_noise_falls_back_to_single_atom():
 
 def test_decode_dispatches_by_algorithm():
     cb, prior, _, received = make_instance(16, 16, 5, 3, 0.0, seed=61)
-    for algorithm, direct in (("amp", amp_decode),
-                              ("scalar_amp", scalar_amp_decode),
-                              ("ep", ep_decode)):
-        options = DecoderOptions(algorithm=algorithm)
-        via_dispatch = decode(received, cb, prior, options)
-        via_direct = direct(received, cb, prior, options)
-        assert via_dispatch.algorithm == algorithm
-        assert np.array_equal(via_dispatch.k_soft, via_direct.k_soft)
+    soft = []
+    for algorithm in ALGORITHMS:
+        report = decode(received, cb, prior,
+                        DecoderOptions(algorithm=algorithm))
+        assert report.algorithm == algorithm
+        soft.append(report.k_soft)
+    # each algorithm runs its own update, so no two estimates coincide
+    assert len({k_soft.tobytes() for k_soft in soft}) == len(ALGORITHMS)
 
 
 @pytest.mark.parametrize("n,m", [(32, 64), (64, 32)])
@@ -212,6 +223,8 @@ def test_divergence_raises_with_last_finite_report(algorithm, monkeypatch):
     report = excinfo.value.report
     assert report.diverged
     assert report.algorithm == algorithm
+    assert report.iterations_run == 1
+    assert report.xi_track == () and report.residual_track == ()
     assert np.all(np.isfinite(report.k_soft))
     assert np.all(np.isfinite(report.k_hat))
 
@@ -223,8 +236,8 @@ def test_ep_non_positive_definite_projection_raises_diverged(factorization,
     # projection's factorization is made to report it
     cb, prior, _, received = make_instance(12, 32, 5, 3, 0.0, seed=65)
     options = DecoderOptions(algorithm="ep", max_iters=5, early_stop=False)
-    first = ep_decode(received, cb, prior,
-                      DecoderOptions(algorithm="ep", max_iters=1))
+    first = decode(received, cb, prior,
+                   DecoderOptions(algorithm="ep", max_iters=1))
     real = getattr(tuma.decoders, factorization)
     calls = []
 
@@ -235,7 +248,7 @@ def test_ep_non_positive_definite_projection_raises_diverged(factorization,
 
     monkeypatch.setattr(tuma.decoders, factorization, fails_second_time)
     with pytest.raises(DecoderDiverged) as excinfo:
-        ep_decode(received, cb, prior, options)
+        decode(received, cb, prior, options)
     report = excinfo.value.report
     assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
     assert report.diverged and report.iterations_run == 2
@@ -319,8 +332,8 @@ def ep_reference(received, cb, prior, iterations):
 @pytest.mark.parametrize("iterations", [1, 2])
 def test_amp_iterations_match_dense_reference(n, m, iterations):
     cb, prior, _, received = make_instance(n, m, 3, 2, 0.0, seed=67)
-    report = amp_decode(received, cb, prior,
-                        DecoderOptions(max_iters=iterations))
+    report = decode(received, cb, prior,
+                    DecoderOptions(max_iters=iterations))
     reference = amp_reference(received, dense_codebook(cb), prior, iterations)
     assert report.iterations_run == iterations
     assert np.abs(report.k_soft - reference).max() < 1e-10
@@ -331,7 +344,7 @@ def test_amp_iterations_match_dense_reference(n, m, iterations):
 def test_scalar_amp_iterations_match_dense_reference(n, m, iterations):
     cb, prior, _, received = make_instance(n, m, 3, 2, 0.0, seed=71)
     options = DecoderOptions(algorithm="scalar_amp", max_iters=iterations)
-    report = scalar_amp_decode(received, cb, prior, options)
+    report = decode(received, cb, prior, options)
     reference = scalar_amp_reference(received, dense_codebook(cb), prior,
                                      iterations)
     assert report.iterations_run == iterations
@@ -351,7 +364,7 @@ def test_ep_iterations_match_dense_reference(n, m, ka, ma, snr_db,
     cb, prior, _, received = make_instance(n, m, ka, ma, snr_db, seed=89)
     options = DecoderOptions(algorithm="ep", max_iters=iterations,
                              early_stop=False)
-    report = ep_decode(received, cb, prior, options)
+    report = decode(received, cb, prior, options)
     reference = ep_reference(received, cb, prior, iterations)
     assert report.iterations_run == iterations
     assert np.abs(report.k_soft - reference).max() < tol
@@ -384,7 +397,8 @@ def product_support(ka, m):
 
 def test_ep_matches_exhaustive_posterior_two_messages():
     cb, prior, _, received = make_instance(2, 2, 1, 1, 0.0, seed=73)
-    report = ep_decode(received, cb, prior, DecoderOptions(max_iters=50))
+    report = decode(received, cb, prior,
+                    DecoderOptions(algorithm="ep", max_iters=50))
     exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
                                      product_support(1, 2))
     assert np.abs(report.k_soft - exact).max() < 1e-6
@@ -392,7 +406,8 @@ def test_ep_matches_exhaustive_posterior_two_messages():
 
 def test_ep_matches_exhaustive_posterior_four_messages():
     cb, prior, _, received = make_instance(4, 4, 3, 2, 0.0, seed=79)
-    report = ep_decode(received, cb, prior, DecoderOptions(max_iters=50))
+    report = decode(received, cb, prior,
+                    DecoderOptions(algorithm="ep", max_iters=50))
     exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
                                      product_support(3, 4))
     assert np.abs(report.k_soft - exact).max() < 1e-6
@@ -402,7 +417,8 @@ def test_ep_high_snr_matches_constrained_enumeration():
     # with one sensor the true support is one count somewhere; at high SNR
     # the per-message model and the constrained one give the same answer
     cb, prior, k, received = make_instance(2, 2, 1, 1, 12.0, seed=83)
-    report = ep_decode(received, cb, prior, DecoderOptions(max_iters=50))
+    report = decode(received, cb, prior,
+                    DecoderOptions(algorithm="ep", max_iters=50))
     exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
                                      [(1, 0), (0, 1)])
     assert np.abs(report.k_soft - exact).max() < 1e-2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tuma import (ConfigError, DiscreteMeasure, SystemConfig, assign_sensors,
-                  draw_targets, grid_codebook, trial_rng, true_multiplicity,
-                  true_type)
+                  draw_targets, grid_codebook, hadamard_codebook,
+                  multiplicity_prior, trial_rng, true_multiplicity, true_type)
 
 BASE = dict(n=4, ka=2, ma=2, m=4, snr_db=0.0)
 
@@ -29,6 +29,8 @@ def test_config_accepts_reference_parameters():
     dict(snr_db=float("inf")), dict(p_order=0.5), dict(max_iters=0),
     dict(trials=0), dict(seed=-1), dict(p_order=float("inf")),
     dict(n=True), dict(ma=True), dict(max_iters=True), dict(seed=False),
+    dict(snr_db=True), dict(p_order=True), dict(snr_db=None),
+    dict(snr_db="3"),
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ConfigError):
@@ -36,6 +38,23 @@ def test_config_rejects_invalid_fields(bad):
 
 
 WHOLE = dict(n=4, ka=2, ma=2, m=8, max_iters=3, trials=2, seed=1)
+
+
+# the public constructors take counts by the rule SystemConfig uses
+@pytest.mark.parametrize("build", [
+    lambda: hadamard_codebook(True, 4),
+    lambda: hadamard_codebook(4, 8.5),
+    lambda: multiplicity_prior(2.5, 3, 8),
+    lambda: multiplicity_prior(3, True, 8),
+    lambda: grid_codebook(8.5),
+    lambda: draw_targets(trial_rng(0, 0), 2.5),
+    lambda: assign_sensors(trial_rng(0, 0), 3, True),
+], ids=["codebook_n_bool", "codebook_m_fraction", "prior_ka_fraction",
+        "prior_ma_bool", "grid_m_fraction", "targets_ma_fraction",
+        "sensors_ma_bool"])
+def test_count_arguments_take_whole_numbers_only(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE))
