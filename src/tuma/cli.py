@@ -5,31 +5,54 @@ Command line interface.
                --decoder amp --trials 200 --seed 1 --out results.csv
     tuma sweep --param ma --values 10 50 100 150 --decoder amp,ep ...
 
-Flags may also come from a config file of `key = value` lines ('#' starts a
-comment); explicit flags override the file, the file overrides built-in
-defaults.  --workers caps the worker processes (default: CPU count).
+Every flag but --config may also come from a config file of `key = value`
+lines ('#' starts a comment) whose keys are the subcommand's flag names;
+explicit flags override the file, the file overrides built-in defaults.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .scenario import SystemConfig
-from .harness import SweepSpec, run_sweep
+from .harness import SWEEPABLE, SweepSpec, run_sweep
 
-DEFAULTS = {
-    "n": 250,
-    "ka": 50,
-    "ma": 50,
-    "bits": 10,
-    "snr_db": -12.0,
-    "p_order": 2.0,
-    "max_iters": 10,
-    "seed": 1,
-    "decoder": "amp",
+DEFAULTS = {"n": 250, "ka": 50, "ma": 50, "bits": 10, "snr_db": -12.0,
+            "seed": 1, "decoder": "amp"}
+
+
+def _number(text):
+    """A swept value: an int when it is whole, else a float."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
+# Each subcommand's flags as {name: add_argument keywords}.  A config file's
+# keys are the same names, and its values are typed by the same `type`.
+RUN_FLAGS = {
+    "n": dict(type=int, help="codeword length"),
+    "ka": dict(type=int, help="number of sensors"),
+    "ma": dict(type=int, help="number of targets"),
+    "bits": dict(type=int, help="log2 of codebook size m"),
+    "snr_db": dict(type=float, help="per-codeword power in dB"),
+    "decoder": dict(type=str,
+                    help="amp, scalar_amp, ep (comma-separated for several)"),
+    "trials": dict(type=int, help="Monte Carlo trials (default 200 for run "
+                                  "and --param ma, else 100)"),
+    "seed": dict(type=int, help="base seed"),
+    "p_order": dict(type=float, help="Wasserstein order "
+                                     f"(default {SystemConfig.p_order:g})"),
+    "max_iters": dict(type=int, help="decoder iteration cap "
+                                     f"(default {SystemConfig.max_iters})"),
+    "out": dict(type=str, help="CSV output path"),
+    "workers": dict(type=int, help="worker processes (default: CPU count)"),
 }
-
-_INT_KEYS = ("n", "ka", "ma", "bits", "trials", "seed", "max_iters")
-_FLOAT_KEYS = ("snr_db", "p_order")
+FLAGS = {
+    "run": RUN_FLAGS,
+    "sweep": {**RUN_FLAGS,
+              "param": dict(type=str, choices=SWEEPABLE, help="field to sweep"),
+              "values": dict(type=_number, nargs="+", help="swept values")},
+}
 
 
 def load_config_file(path):
@@ -47,88 +70,50 @@ def load_config_file(path):
     return values
 
 
-def _normalize_decoders(raw):
-    names = []
-    for chunk in raw.replace(",", " ").split():
-        name = chunk.strip().replace("-", "_")
-        if name and name not in names:
-            names.append(name)
-    if not names:
-        raise ValueError("no decoder given")
-    return tuple(names)
+def _typed(key, raw, type, nargs=None, **_):
+    """A config-file value typed as its flag types it on the command line."""
+    try:
+        if nargs:
+            return [type(item) for item in raw.replace(",", " ").split()]
+        return type(raw)
+    except ValueError:
+        raise ValueError(f"config key {key}: invalid value {raw!r}") from None
 
 
-def _merge(args, command):
-    """Resolve defaults < config file < explicit flags; returns a dict."""
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        raw = load_config_file(args.config)
-        for key, val in raw.items():
+def _settings(args):
+    """The subcommand's settings: defaults < config file < flags."""
+    flags = FLAGS[args.command]
+    settings = dict(DEFAULTS)
+    if args.config:
+        for key, raw in load_config_file(args.config).items():
             key = key.replace("-", "_")
-            if key in _INT_KEYS:
-                merged[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                merged[key] = float(val)
-            elif key == "values":
-                merged[key] = tuple(float(v) for v in val.replace(",", " ").split())
-            elif key in ("decoder", "decoders"):
-                merged["decoder"] = val
-            elif key in ("out", "param"):
-                merged[key] = val
-            else:
+            if key not in flags:
                 raise ValueError(f"unknown config key {key!r}")
-    for key, val in vars(args).items():
-        if key in ("command", "config", "workers"):
-            continue
-        if val is not None:
-            merged[key] = val
-    if "trials" not in merged or merged["trials"] is None:
-        param = merged.get("param", "none")
-        merged["trials"] = 200 if command == "run" or param == "ma" else 100
-    return merged
+            settings[key] = _typed(key, raw, **flags[key])
+    settings.update((key, val) for key, val in vars(args).items()
+                    if key in flags and val is not None)
+    return settings
 
 
-def _build_spec(merged, command):
-    config = SystemConfig(
-        n=merged["n"], ka=merged["ka"], ma=merged["ma"],
-        m=2 ** int(merged["bits"]), snr_db=merged["snr_db"],
-        p_order=merged["p_order"], max_iters=merged["max_iters"],
-        trials=merged["trials"], seed=merged["seed"])
-    decoders = _normalize_decoders(str(merged["decoder"]))
+def _spec(command, settings):
+    """The SweepSpec of a run (param 'none') or a sweep."""
     if command == "run":
-        return SweepSpec(base=config, param="none", values=(None,),
-                         decoders=decoders, out=merged.get("out"))
-    param = merged.get("param")
-    if not param:
-        raise ValueError("sweep needs --param")
-    values = merged.get("values")
-    if not values:
-        raise ValueError("sweep needs --values")
-    values = tuple(int(v) if float(v).is_integer() else float(v)
-                   for v in values)
-    return SweepSpec(base=config, param=param, values=values,
-                     decoders=decoders, out=merged.get("out"))
-
-
-def _add_common(parser):
-    parser.add_argument("--n", type=int, help="codeword length")
-    parser.add_argument("--ka", type=int, help="number of sensors")
-    parser.add_argument("--ma", type=int, help="number of targets")
-    parser.add_argument("--bits", type=int, help="log2 of codebook size m")
-    parser.add_argument("--snr-db", type=float, dest="snr_db",
-                        help="per-codeword power in dB")
-    parser.add_argument("--decoder",
-                        help="amp, scalar_amp, ep (comma-separated for several)")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--p-order", type=float, dest="p_order",
-                        help="Wasserstein order (default 2)")
-    parser.add_argument("--max-iters", type=int, dest="max_iters",
-                        help="decoder iteration cap (default 10)")
-    parser.add_argument("--config", help="config file of key = value lines")
-    parser.add_argument("--out", help="CSV output path")
-    parser.add_argument("--workers", type=int,
-                        help="worker processes (default: CPU count)")
+        settings.update(param="none", values=[None])
+    for key in ("param", "values"):
+        if not settings.get(key):
+            raise ValueError(f"{command} needs --{key}")
+    settings.setdefault("trials", 200 if settings["param"] in ("none", "ma")
+                        else 100)
+    fields = {field.name for field in dataclasses.fields(SystemConfig)}
+    base = SystemConfig(m=2 ** settings["bits"],
+                        **{key: val for key, val in settings.items()
+                           if key in fields})
+    # comma- or space-separated names, '-' read as '_', duplicates dropped
+    decoders = dict.fromkeys(name.replace("-", "_") for name
+                             in settings["decoder"].replace(",", " ").split())
+    return SweepSpec(base=base, param=settings["param"],
+                     values=tuple(settings["values"]),
+                     decoders=tuple(decoders), out=settings.get("out"))
 
 
 def _log_row(row):
@@ -139,40 +124,38 @@ def _log_row(row):
           f"div={row['diverged_count']}")
 
 
-def _cmd_run_or_sweep(args, command):
-    merged = _merge(args, command)
-    spec = _build_spec(merged, command)
-    print(f"{command}: n={spec.base.n} ka={spec.base.ka} ma={spec.base.ma} "
-          f"bits={spec.base.bits} snr_db={spec.base.snr_db} "
-          f"trials={spec.base.trials} seed={spec.base.seed}")
-    rows = run_sweep(spec, workers=args.workers, log=_log_row)
-    if spec.out:
-        print(f"wrote {len(rows)} rows to {spec.out}")
-    return 0
-
-
 def main(argv=None):
+    """Run the command line; returns the exit status, 2 on a usage error."""
     parser = argparse.ArgumentParser(
         prog="tuma",
         description="Type-based unsourced multiple access simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="decode one configuration many times")
-    _add_common(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="sweep one parameter")
-    _add_common(sweep_p)
-    sweep_p.add_argument("--param", choices=["ma", "bits", "n", "snr_db"],
-                         help="field to sweep")
-    sweep_p.add_argument("--values", nargs="+", type=float,
-                         help="swept values")
-
-    args = parser.parse_args(argv)
+    for command, about in (("run", "decode one configuration many times"),
+                           ("sweep", "sweep one parameter")):
+        cmd = sub.add_parser(command, help=about)
+        cmd.add_argument("--config", help="file of key = value lines; "
+                                          "the keys are the flag names")
+        for name, keywords in FLAGS[command].items():
+            cmd.add_argument("--" + name.replace("_", "-"), dest=name,
+                             **keywords)
     try:
-        return _cmd_run_or_sweep(args, args.command)
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse has printed the usage error
+        return stop.code
+    try:
+        settings = _settings(args)
+        spec = _spec(args.command, settings)
+        print(f"{args.command}: n={spec.base.n} ka={spec.base.ka} "
+              f"ma={spec.base.ma} bits={spec.base.bits} "
+              f"snr_db={spec.base.snr_db} trials={spec.base.trials} "
+              f"seed={spec.base.seed}")
+        rows = run_sweep(spec, workers=settings.get("workers"), log=_log_row)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if spec.out:
+        print(f"wrote {len(rows)} rows to {spec.out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from .scenario import (SystemConfig, _require, assign_sensors, draw_targets,
-                       trial_rng, true_multiplicity, true_type)
+from .scenario import (SystemConfig, _real, _require, _whole, assign_sensors,
+                       draw_targets, trial_rng, true_multiplicity, true_type)
 from .codebooks import grid_codebook, hadamard_codebook
 from .channel import transmit
 from .denoiser import multiplicity_prior
@@ -131,19 +131,17 @@ def run_trial(config, decoders, trial_index):
 def derive_config(base, param, value):
     """Base config with one swept field replaced ('bits' sets m = 2**value).
 
-    ma, n and bits must be whole numbers: 3.0 is taken as 3, and 3.5 raises
-    ConfigError rather than running as 3.
+    ma, n and bits must be whole numbers: 3.0 is taken as 3, and 3.5 or True
+    raises ConfigError rather than running as 3 or 1.
     """
     if param == "none":
         return base
-    _require(value is not None, f"swept {param} needs a value, not None")
     if param == "snr_db":
-        return replace(base, snr_db=float(value))
-    _require(float(value).is_integer(),
-             f"{param} must be a whole number, got {value!r}")
+        return replace(base, snr_db=float(_real(value, param)))
+    value = _whole(value, param, 1)
     if param == "bits":
-        return replace(base, m=2 ** int(value))
-    return replace(base, **{param: int(value)})
+        return replace(base, m=2 ** value)
+    return replace(base, **{param: value})
 
 
 def aggregate(results, config, decoder, param="none", value=None):
@@ -183,18 +181,20 @@ def run_sweep(spec, workers=None, log=None):
     """Run every (value, decoder) cell of a sweep; returns the summary rows.
 
     Each scene is simulated once and decoded by every decoder, and the whole
-    sweep shares one worker pool.  When spec.out is set, the CSV is written
-    before the first scene and again each time a value's scenes are done,
-    so an interrupted run leaves the rows finished so far.
+    sweep shares one pool of `workers` processes (default: the CPU count),
+    capped at the number of scenes.  When spec.out is set, the CSV is
+    written before the first scene and again each time a value's scenes are
+    done, so an interrupted run leaves the rows finished so far.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
     configs = [derive_config(spec.base, spec.param, v) for v in spec.values]
     tasks = [(config, spec.decoders, t)
              for config in configs for t in range(config.trials)]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(tasks))
     if spec.out:
         _write_csv(spec.out, [])
-    if workers <= 1 or len(tasks) == 1:
+    if workers <= 1:
         return _summarize(spec, configs, map(run_trial, *zip(*tasks)), log)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _summarize(spec, configs, pool.map(run_trial, *zip(*tasks)),

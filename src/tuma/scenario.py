@@ -41,6 +41,13 @@ def _whole(value, name, low):
     return int(value)
 
 
+def _real(value, name):
+    """value, or ConfigError unless it is a real number; bools are refused."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             f"{name} must be a real number")
+    return value
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one simulated system.
@@ -73,10 +80,7 @@ class SystemConfig:
                                                   low))
         _require(_is_pow2(self.m), "m must be a power of two")
         for name in ("snr_db", "p_order"):
-            value = getattr(self, name)
-            _require(isinstance(value, numbers.Real)
-                     and not isinstance(value, bool),
-                     f"{name} must be a real number")
+            _real(getattr(self, name), name)
         _require(np.isfinite(self.snr_db), "snr_db must be finite")
         _require(np.isfinite(self.p_order) and self.p_order >= 1.0,
                  "p_order must be finite and >= 1")

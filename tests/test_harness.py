@@ -116,20 +116,36 @@ def test_each_scene_is_simulated_once_for_all_decoders(monkeypatch):
 
 
 def test_one_pool_per_sweep(monkeypatch):
+    # a stand-in pool that starts no process: it records its size and maps
+    # serially, so asking for 64 workers forks nothing
     started = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     spec = SweepSpec(base=TINY, param="bits", values=(3, 4, 5),
                      decoders=("amp", "scalar_amp"))
     run_sweep(spec, workers=2)
-    assert len(started) == 1
+    assert started == [2]
     run_sweep(spec, workers=1)
-    assert len(started) == 1
+    assert started == [2]
+    # the pool is capped at the number of scenes
+    two_scenes = replace(spec, base=replace(TINY, trials=1), values=(3, 4))
+    run_sweep(two_scenes, workers=64)
+    assert started == [2, 2]
+    run_sweep(replace(two_scenes, values=(3,)), workers=64)
+    assert started == [2, 2]
 
 
 class DecoderFailure(RuntimeError):
@@ -196,10 +212,11 @@ def test_derive_config_replaces_one_field():
 
 @pytest.mark.parametrize("param,value", [
     ("bits", 3.5), ("ma", 2.7), ("n", 16.9), ("bits", float("nan")),
-    ("ma", None),
+    ("ma", None), ("ma", True), ("n", True), ("bits", True),
+    ("snr_db", True), ("snr_db", None),
 ])
 def test_derive_config_rejects_values_it_would_truncate(param, value):
-    # bits=3.5 must not run as bits=3
+    # bits=3.5 must not run as bits=3, nor ma=True as ma=1
     with pytest.raises(ConfigError):
         derive_config(TINY, param, value)
 
@@ -216,6 +233,7 @@ def test_sweep_spec_validation():
 @pytest.mark.parametrize("param,values", [
     ("none", (1, 2, 3)), ("none", (None, None)), ("none", (4,)),
     ("ma", (None,)), ("ma", (3, None)), ("bits", (3, 4.5)),
+    ("snr_db", (True, 2.0)),
 ])
 def test_sweep_spec_values_must_fit_the_param(param, values):
     # 'none' runs the base point once; a swept field needs real values
@@ -319,3 +337,51 @@ def test_cli_rejects_a_fractional_swept_value(tmp_path, capsys, monkeypatch):
                     "--out", str(out), "--workers", "1"]) == 2
     assert "bits must be a whole number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_run_refuses_sweep_keys_in_its_config(tmp_path, capsys):
+    # run has no --param/--values, so its config file may not name them
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 16\nka = 3\nma = 2\nbits = 4\ntrials = 1\n"
+                      "param = ma\nvalues = 2 3\n")
+    out = tmp_path / "run.csv"
+    assert run_cli(["run", "--config", str(config), "--out", str(out),
+                    "--workers", "1"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_file_may_set_workers(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 16\nka = 3\nma = 2\nbits = 4\nsnr_db = 0\n"
+                      "trials = 1\nworkers = 1\n")
+    out = tmp_path / "run.csv"
+    assert run_cli(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_cli_refuses_fractional_bits_from_file_and_flag(tmp_path, capsys):
+    common = ["--n", "16", "--ka", "3", "--ma", "2", "--trials", "1",
+              "--workers", "1"]
+    config = tmp_path / "bits.cfg"
+    config.write_text("bits = 4.5\n")
+    assert run_cli(["run", "--config", str(config), *common]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(["run", "--bits", "4.5", *common]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_values_from_file_match_values_from_flags(tmp_path):
+    common = ["--param", "bits", "--n", "16", "--ka", "3", "--ma", "2",
+              "--snr-db", "0", "--trials", "2", "--seed", "9",
+              "--workers", "1"]
+    config = tmp_path / "values.cfg"
+    config.write_text("values = 3, 4\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert run_cli(["sweep", "--config", str(config), *common,
+                    "--out", str(from_file)]) == 0
+    assert run_cli(["sweep", "--values", "3", "4", *common,
+                    "--out", str(from_flags)]) == 0
+    assert from_file.read_text() == from_flags.read_text()
+    assert [row["value"] for row in csv.DictReader(
+        from_file.read_text().splitlines())] == ["3", "4"]
