@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import _require
+from .scenario import _real, _require
 from .codebooks import apply
 
 
 def snr_from_db(snr_db):
     """Linear power P from its dB value, P = 10**(snr_db/10)."""
-    _require(np.isfinite(snr_db), "snr_db must be finite")
+    _require(np.isfinite(_real(snr_db, "snr_db")), "snr_db must be finite")
     return 10.0 ** (snr_db / 10.0)
 
 

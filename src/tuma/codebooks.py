@@ -39,10 +39,6 @@ class GridQuantizer:
     cols: int
     centroids: np.ndarray  # (m, 2) cell centers, row-major
 
-    @property
-    def bits(self):
-        return int(self.m).bit_length() - 1
-
 
 def grid_codebook(m):
     """Build the m-cell grid quantizer, m a power of two (at least 2)."""
@@ -119,7 +115,9 @@ class HadamardCodebook:
     """Truncated/padded Hadamard codebook with fast products.
 
     n x m implicit matrix C; entries are +-scale on the active rows and the
-    columns are exactly unit norm.
+    columns are exactly unit norm.  Output position p < len(row_ids) is
+    Sylvester row row_ids[p]; the positions past it (n > m) are zero
+    padding.
     """
 
     n: int
@@ -159,30 +157,28 @@ def hadamard_codebook(n, m):
 
 
 def apply(cb, v):
-    """C @ v for v of shape (m,)."""
+    """C @ v for v of shape (m,).
+
+    The transform runs in place at the front of the output buffer, which
+    ends with the zero padding past the kept rows; for n < m the kept rows
+    are then gathered.
+    """
     v = np.asarray(v, dtype=float)
     _require(v.shape == (cb.m,), "vector length must equal codebook size")
-    if cb.n > cb.m:
-        out = np.zeros(cb.n)
-        out[: cb.m] = v
-        t = _fwht_in_place(out[: cb.m])
-        t *= cb.scale
-        return out
-    t = fwht(v)
+    out = np.zeros(cb.m + cb.n - len(cb.row_ids))
+    out[: cb.m] = v
+    t = _fwht_in_place(out[: cb.m])
     t *= cb.scale
-    return t if cb.n == cb.m else t[cb.row_ids]
+    return out[cb.row_ids] if cb.n < cb.m else out
 
 
 def adjoint(cb, z):
-    """C.T @ z for z of shape (n,)."""
+    """C.T @ z for z of shape (n,); the zero padding past the kept rows drops."""
     z = np.asarray(z, dtype=float)
     _require(z.shape == (cb.n,), "vector length must equal codeword length")
-    if cb.n <= cb.m:
-        buf = np.zeros(cb.m)
-        buf[cb.row_ids] = z
-        out = _fwht_in_place(buf)  # H is symmetric
-    else:
-        out = fwht(z[: cb.m])
+    out = np.zeros(cb.m)
+    out[cb.row_ids] = z[: len(cb.row_ids)]
+    _fwht_in_place(out)  # H is symmetric
     out *= cb.scale
     return out
 
@@ -191,11 +187,8 @@ def sq_apply(cb, v):
     """(C*C) @ v, elementwise-squared matrix; constant columns make it a sum."""
     v = np.asarray(v, dtype=float)
     _require(v.shape == (cb.m,), "vector length must equal codebook size")
-    s = v.sum() * cb.scale**2
-    if cb.n <= cb.m:
-        return np.full(cb.n, s)
     out = np.zeros(cb.n)
-    out[: cb.m] = s
+    out[: len(cb.row_ids)] = v.sum() * cb.scale**2
     return out
 
 
@@ -203,5 +196,4 @@ def sq_adjoint(cb, z):
     """(C*C).T @ z for z of shape (n,)."""
     z = np.asarray(z, dtype=float)
     _require(z.shape == (cb.n,), "vector length must equal codeword length")
-    s = z[: cb.m].sum() if cb.n > cb.m else z.sum()
-    return np.full(cb.m, s * cb.scale**2)
+    return np.full(cb.m, z[: len(cb.row_ids)].sum() * cb.scale**2)

@@ -33,8 +33,6 @@ from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
 from .denoiser import XI_FLOOR, posterior_moments
 
-ALGORITHMS = ("amp", "scalar_amp", "ep")
-
 # Every variance-like quantity is clamped into [XI_FLOOR, VAR_CEILING].
 VAR_CEILING = 1e12
 # EP site updates in natural parameters: new = (1 - d) raw + d old.
@@ -155,8 +153,7 @@ def _scalar_amp(received, cb, prior, k):
 
     ys = received.y / snp
     v_soft = np.full(cb.m, prior.var)
-    z = ys.copy()  # zero first-iteration correction term
-    v = sq_apply(cb, v_soft)
+    z, v = ys, 0.0  # ys - z = 0: no first-iteration correction term
     c_k = apply(cb, k)  # C k_hat, carried over between iterations
     while True:
         v_new = sq_apply(cb, v_soft)
@@ -237,15 +234,9 @@ def _ep(received, cb, prior, k):
     subtraction, tilted moments of the cavity-tilted count prior, then the
     site update, damped in natural parameters.
 
-    For n < m the projection works on the n x n Woodbury system
-    S = sigma2 I + C Xi1 C^T.  Rows of a Sylvester-Hadamard codebook
-    multiply by XOR of their indices, so S[a, b] = sigma2 [a == b] +
-    scale^2 fwht(xi1)[r_a XOR r_b]: one FWHT and a gather through the
-    r_a XOR r_b table, which is built once per decode (see _ep_projection).
-    An iteration costs O(n^3 + m log m) time and O(n^2 + m) memory; no
-    n x m matrix is ever formed.  For n >= m the projection is elementwise.
-    A projection whose S fails to factor as positive definite raises
-    numpy.linalg.LinAlgError, which decode reports as DecoderDiverged.
+    _ep_projection derives the projection and its cost.  A projection that
+    fails to factor raises numpy.linalg.LinAlgError, which decode reports
+    as DecoderDiverged.
 
     Two safeguards keep the natural parameters in range: a site update
     whose precision would be non-positive resets that site to (near-)flat,
@@ -296,6 +287,7 @@ def _ep(received, cb, prior, k):
 
 
 _UPDATES = {"amp": _amp, "scalar_amp": _scalar_amp, "ep": _ep}
+ALGORITHMS = tuple(_UPDATES)
 
 
 def decode(received, cb, prior, options):

@@ -181,17 +181,18 @@ def run_sweep(spec, workers=None, log=None):
     """Run every (value, decoder) cell of a sweep; returns the summary rows.
 
     Each scene is simulated once and decoded by every decoder, and the whole
-    sweep shares one pool of `workers` processes (default: the CPU count),
-    capped at the number of scenes.  When spec.out is set, the CSV is
-    written before the first scene and again each time a value's scenes are
-    done, so an interrupted run leaves the rows finished so far.
+    sweep shares one pool of `workers` processes (a whole number >= 1,
+    default: the CPU count), capped at the number of scenes.  When spec.out
+    is set, the CSV is written before the first scene and again each time a
+    value's scenes are done, so an interrupted run leaves the rows finished
+    so far.
     """
     configs = [derive_config(spec.base, spec.param, v) for v in spec.values]
     tasks = [(config, spec.decoders, t)
              for config in configs for t in range(config.trials)]
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = min(workers, len(tasks))
+    workers = min(_whole(workers, "workers", 1), len(tasks))
     if spec.out:
         _write_csv(spec.out, [])
     if workers <= 1:

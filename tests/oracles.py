@@ -121,9 +121,10 @@ def dense_ep_projection(cb, xi1, eta1, lin, sigma2):
 def reference_tilted(r, xi, prior):
     """Posterior mean and centered variance arrays for r = K + N(0, xi).
 
-    The direct form of tuma.denoiser._tilted: one (m, ka + 1) log-weight
-    array over every count, max-shifted and exponentiated with no floor,
-    normalized, then reduced by a matrix-vector product.
+    The direct form of tuma.denoiser.posterior_moments: one (m, ka + 1)
+    log-weight array over every count, built from prior.pmf alone (log 0 =
+    -inf at the zero-mass counts), max-shifted and exponentiated with no
+    floor, normalized, then reduced by a matrix-vector product.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     xi_arr = np.broadcast_to(np.asarray(xi, dtype=float), r_arr.shape)
@@ -131,8 +132,10 @@ def reference_tilted(r, xi, prior):
     _require(np.all(xi_arr > 0) and np.all(np.isfinite(xi_arr)),
              "noise variance must be positive and finite")
     xi_arr = np.maximum(xi_arr, XI_FLOOR)
-    ks = prior.ks
-    a = prior.log_pmf[None, :] - 0.5 * (r_arr[:, None] - ks[None, :]) ** 2 / xi_arr[:, None]
+    ks = np.arange(prior.pmf.size, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_pmf = np.log(prior.pmf)
+    a = log_pmf[None, :] - 0.5 * (r_arr[:, None] - ks[None, :]) ** 2 / xi_arr[:, None]
     a -= a.max(axis=1, keepdims=True)
     w = np.exp(a)
     w /= w.sum(axis=1, keepdims=True)

@@ -21,6 +21,16 @@ def test_snr_rejects_non_finite():
         snr_from_db(float("nan"))
 
 
+@pytest.mark.parametrize("snr_db", [True, "3", None],
+                         ids=["bool", "str", "None"])
+def test_snr_rejects_non_real(snr_db):
+    with pytest.raises(ConfigError):
+        snr_from_db(snr_db)
+    with pytest.raises(ConfigError):
+        transmit(hadamard_codebook(4, 4), np.ones(4, dtype=np.int64), snr_db,
+                 np.random.default_rng(0))
+
+
 def test_noiseless_transmit_is_exact():
     cb = hadamard_codebook(16, 16)
     k = np.zeros(16, dtype=np.int64)

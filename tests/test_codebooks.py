@@ -28,7 +28,7 @@ def _dense_from_ops(cb):
 
 def test_grid_square_layout():
     q = grid_codebook(16)
-    assert (q.rows, q.cols, q.bits) == (4, 4, 4)
+    assert (q.m, q.rows, q.cols) == (16, 4, 4)
     assert np.allclose(q.centroids[0], [0.125, 0.125])
     assert np.allclose(q.centroids[1], [0.375, 0.125])  # row-major
     assert np.allclose(q.centroids[-1], [0.875, 0.875])

@@ -208,6 +208,26 @@ def test_amp_decoders_transform_each_estimate_forward_once(algorithm, n, m,
     assert len(calls) == options.max_iters + 1
 
 
+@pytest.mark.parametrize("n,m", [(32, 64), (64, 32)])
+def test_scalar_amp_squares_once_per_iteration(n, m, monkeypatch):
+    # the first iteration has no correction term, so no squared transform
+    # runs before the loop
+    cb, prior, _, received = make_instance(n, m, 10, 15, -3.0, seed=67)
+    calls = []
+    for name in ("sq_apply", "sq_adjoint"):
+        def counted(cb, x, name=name, transform=getattr(tuma.decoders, name)):
+            calls.append(name)
+            return transform(cb, x)
+
+        monkeypatch.setattr(tuma.decoders, name, counted)
+    options = DecoderOptions(algorithm="scalar_amp", max_iters=7,
+                             early_stop=False)
+    report = decode(received, cb, prior, options)
+    assert report.iterations_run == 7 and not report.diverged
+    assert calls.count("sq_apply") == report.iterations_run
+    assert calls.count("sq_adjoint") == report.iterations_run
+
+
 @pytest.mark.parametrize("algorithm", ["amp", "scalar_amp", "ep"])
 def test_divergence_raises_with_last_finite_report(algorithm, monkeypatch):
     cb, prior, _, received = make_instance(16, 16, 5, 3, 0.0, seed=63)

@@ -3,8 +3,9 @@
 Oracles here are written from the generative definitions: the prior against
 an exact-combinatorics direct sum in extended precision, the posterior
 against a naive weighted sum over the support and against the direct
-unblocked, unfloored form (oracles.reference_tilted), and the mean
-derivative against central finite differences.
+unblocked, unfloored form over every count, built from the pmf alone
+rather than the prior's stored support (oracles.reference_tilted), and the
+mean derivative against central finite differences.
 """
 
 import math
@@ -109,6 +110,10 @@ def test_count_prior_validation():
         CountPrior(pmf=np.array([1.2, -0.2]), ka=1)      # negative mass
     with pytest.raises(ConfigError):
         CountPrior(pmf=np.array([0.5, 0.5]), ka=2)       # wrong length
+    with pytest.raises(ConfigError):
+        CountPrior(pmf=np.array([0.5, 0.5]), ka=True)    # a bool, not a count
+    whole = CountPrior(pmf=np.array([0.5, 0.5]), ka=1.0)
+    assert type(whole.ka) is int and whole.ka == 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +299,11 @@ def test_posterior_rejects_bad_inputs():
         posterior_moments(1.0, -0.3, prior)
     with pytest.raises(ConfigError):
         posterior_moments(float("nan"), 0.5, prior)
+    r = np.linspace(0.0, 5.0, 6)
+    with pytest.raises(ConfigError):
+        posterior_moments(r, np.full(5, 0.5), prior)       # length mismatch
+    with pytest.raises(ConfigError):
+        posterior_moments(r, np.full((1, 6), 0.5), prior)  # 2-D xi
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,12 @@ def test_each_scene_is_simulated_once_for_all_decoders(monkeypatch):
     assert len(scenes) == len(distortions) == 2 * TINY.trials
 
 
-def test_one_pool_per_sweep(monkeypatch):
-    # a stand-in pool that starts no process: it records its size and maps
-    # serially, so asking for 64 workers forks nothing
+def _fake_pool(monkeypatch):
+    """Patch in a stand-in pool that starts no process; returns its sizes.
+
+    It records max_workers and maps serially, so asking for 64 workers
+    forks nothing.
+    """
     started = []
 
     class FakePool:
@@ -134,6 +137,11 @@ def test_one_pool_per_sweep(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    return started
+
+
+def test_one_pool_per_sweep(monkeypatch):
+    started = _fake_pool(monkeypatch)
     spec = SweepSpec(base=TINY, param="bits", values=(3, 4, 5),
                      decoders=("amp", "scalar_amp"))
     run_sweep(spec, workers=2)
@@ -146,6 +154,18 @@ def test_one_pool_per_sweep(monkeypatch):
     assert started == [2, 2]
     run_sweep(replace(two_scenes, values=(3,)), workers=64)
     assert started == [2, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+def test_sweep_workers_must_be_a_whole_number(workers, monkeypatch, tmp_path):
+    # refused before any scene runs or any CSV is written, not run serially
+    started = _fake_pool(monkeypatch)
+    scenes = _count_calls(monkeypatch, "draw_targets")
+    out = tmp_path / "rows.csv"
+    spec = SweepSpec(base=TINY, param="bits", values=(3, 4), out=str(out))
+    with pytest.raises(ConfigError, match="workers"):
+        run_sweep(spec, workers=workers)
+    assert started == [] and scenes == [] and not out.exists()
 
 
 class DecoderFailure(RuntimeError):
@@ -323,6 +343,9 @@ def test_cli_rejects_bad_usage(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("volume = 11\n")
     assert run_cli(["run", "--config", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(["run", "--n", "16", "--ka", "3", "--ma", "2", "--bits",
+                    "4", "--trials", "1", "--workers", "0"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
