@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .scenario import SystemConfig
+from .scenario import SystemConfig, _whole
 from .harness import SWEEPABLE, SweepSpec, run_sweep
 
 DEFAULTS = {"n": 250, "ka": 50, "ma": 50, "bits": 10, "snr_db": -12.0,
@@ -145,11 +145,14 @@ def main(argv=None):
     try:
         settings = _settings(args)
         spec = _spec(args.command, settings)
+        workers = settings.get("workers")
+        if workers is not None:  # run_sweep's check, before the header
+            _whole(workers, "workers", 1)
         print(f"{args.command}: n={spec.base.n} ka={spec.base.ka} "
               f"ma={spec.base.ma} bits={spec.base.bits} "
               f"snr_db={spec.base.snr_db} trials={spec.base.trials} "
               f"seed={spec.base.seed}")
-        rows = run_sweep(spec, workers=settings.get("workers"), log=_log_row)
+        rows = run_sweep(spec, workers=workers, log=_log_row)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

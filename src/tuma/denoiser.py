@@ -12,10 +12,15 @@ r = k + N(0, xi).  posterior_moments returns the tilted mean f and
 variance g of that model, evaluated over the prior's support only (counts
 with zero prior mass get exactly zero weight).  The log-weights are shifted
 by their maximum, so small xi does not overflow, and floored at
-_LOG_WEIGHT_FLOOR before exponentiation (see there).  The variance is the
-centered second moment (no cancellation).  Coordinates are processed in
-blocks of about _BLOCK_CELLS (coordinate, count) cells, so memory is
-O(m + block) rather than O(m (ka + 1)).  The derivative of the
+_LOG_WEIGHT_FLOOR before exponentiation (see there).  Each coordinate
+evaluates only its window, the contiguous run of support counts whose
+shifted log-weight can reach the floor: a cheap lower bound on the
+largest log-weight caps the distance |r - k| of such a count (_windows),
+and every count outside the window gets weight exactly 0.  The variance
+is the centered second moment (no cancellation).  Coordinates are
+processed in chunks of _CHUNK, sorted by window length, and in blocks of
+about _BLOCK_CELLS (window position, coordinate) cells, so memory is
+O(m + chunk + block) rather than O(m (ka + 1)).  The derivative of the
 tilted mean obeys the exponential-family identity f'(r) = g(r) / xi.
 """
 
@@ -96,18 +101,24 @@ def multiplicity_prior(ka, ma, m):
     return CountPrior(pmf=pmf, ka=ka)
 
 
-# Max-shifted log-weights are floored here before np.exp.  e^-600 (about
-# 2.7e-261) is still a normal float64, while arguments below about -708 give
-# subnormal or zero results, which take numpy's exp off its SIMD path and
-# make every later product with them slow.  Against a largest weight of 1,
-# each floored weight moves the mean by at most ka e^-600 and the variance
-# by at most ka^2 e^-600, so all ka + 1 of them together stay under 1e-250
-# for any ka below 3000.
-_LOG_WEIGHT_FLOOR = -600.0
+# Max-shifted log-weights are floored here before np.exp, and a count
+# whose log-weight provably lies below the floor gets weight exactly 0
+# without being evaluated (see _windows).  Against a largest weight of 1,
+# e^-100 (about 3.7e-44) is far below double resolution (any floor under
+# about -37 is), and each floored or dropped weight moves the mean by at
+# most ka e^-100 and the variance by at most ka^2 e^-100, so all ka + 1
+# of them together move the variance by under 1e-32 for any ka below
+# 3000.  A floor this high also keeps np.exp off subnormal results (below
+# about -708), which take it off its SIMD path.
+_LOG_WEIGHT_FLOOR = -100.0
 
-# (coordinate, count) cells per block.  Each block's two float64 work arrays
+# (coordinate, count) cells per block.  Each block's float64 work arrays
 # then take 128 KB apiece and its dozen elementwise passes run in cache.
 _BLOCK_CELLS = 2**14
+
+# Coordinates whose windows are found in one pass, so the per-coordinate
+# work arrays take O(_CHUNK) memory rather than O(m).
+_CHUNK = 2**15
 
 
 def _sum_counts(a):
@@ -122,19 +133,77 @@ def _sum_counts(a):
     return np.add.reduce(a, axis=0)
 
 
+def _log_weight(r, two_xi, ks, log_mass, out=None):
+    """log p(k) - (r - k)^2 / (2 xi), given the counts ks and their log p."""
+    w = np.subtract(r, ks, out=out)
+    np.square(w, out=w)
+    w /= two_xi
+    return np.subtract(log_mass, w, out=w)
+
+
+def _windows(r, two_xi, prior):
+    """Each coordinate's window: its first support index and its length.
+
+    L, the largest log-weight among the two support counts either side of
+    r and the prior's mode, bounds the maximum log-weight from below, so
+    every count with (r - k)^2 > 2 xi (max log p - L - _LOG_WEIGHT_FLOOR
+    + 1) lies below the floor once shifted; the window is the contiguous run
+    of support counts within that distance of r (the support need not be
+    unimodal or gap-free).  The count achieving L is always kept, so
+    roundoff in a huge distance cannot drop the largest weight.
+    """
+    # below[c] = searchsorted(prior.support, c) for the integers c in
+    # 0..ka + 1.  Counts are integers, so it answers the query at any x
+    # through ceil(x); a binary search per coordinate on unsorted keys
+    # would cost more than the rest of this function.
+    below = np.searchsorted(prior.support, np.arange(prior.ka + 2))
+
+    def rank(x):  # searchsorted(prior.support, x), side "left"
+        return below[np.clip(np.ceil(x), 0, prior.ka + 1).astype(np.intp)]
+
+    def log_weight(idx):
+        return _log_weight(r, two_xi, prior.support[idx], prior.log_mass[idx])
+
+    up = rank(r)
+    best_idx = np.minimum(up, prior.support.size - 1)
+    best = log_weight(best_idx)
+    l_below = log_weight(np.maximum(up - 1, 0))
+    # the two candidates are adjacent, or one count with equal log-weights
+    best_idx -= l_below > best
+    np.maximum(best, l_below, out=best)
+    mode = np.argmax(prior.log_mass)
+    l_mode = log_weight(mode)
+    best_idx += (l_mode > best) * (mode - best_idx)
+    np.maximum(best, l_mode, out=best)
+    best -= prior.log_mass.max() - _LOG_WEIGHT_FLOOR + 1.0
+    best *= -two_xi
+    radius = np.sqrt(best, out=best)
+    first = np.minimum(rank(r - radius), best_idx)
+    # side "right" of x is side "left" of the next integer above floor(x)
+    stop = np.maximum(rank(np.floor(r + radius) + 1.0), best_idx + 1)
+    return first, stop - first
+
+
 def posterior_moments(r, xi, prior):
     """Tilted mean f = E[K | r] and variance g = Var[K | r] in one pass.
 
     Shapes follow r: a scalar r gives two floats, a vector two arrays; xi
-    is a scalar or shaped like r.  Only the prior's support enters.  Blocks
-    lay the weights out as (count, coordinate), so per-coordinate scalars
-    broadcast along contiguous rows and every reduction runs over axis 0.
-    The log-weight of count k is log p(k) - (r - k)^2 / (2 xi), shifted by
-    its maximum over k and floored at _LOG_WEIGHT_FLOOR; the mean and the
-    centered variance are weighted sums divided by the weight total.
-    Besides the two outputs the working memory is two blocks of
-    _BLOCK_CELLS cells and, for a per-coordinate xi, one clamped copy of
-    it: O(m + block) in all.
+    is a scalar or shaped like r.  Only the prior's support enters, and of
+    it only each coordinate's window (see _windows): the counts whose
+    max-shifted log-weight can reach _LOG_WEIGHT_FLOOR.  The log-weight of
+    count k is log p(k) - (r - k)^2 / (2 xi), shifted by its maximum over
+    k and floored at _LOG_WEIGHT_FLOOR; every count outside the window
+    gets weight 0.  The mean and the centered variance are weighted sums
+    divided by the weight total.
+
+    Coordinates go in chunks of _CHUNK, sorted by window length within a
+    chunk, and then in blocks of about _BLOCK_CELLS cells laid out as
+    (window position, coordinate): each column gathers its own counts,
+    so per-coordinate scalars broadcast along contiguous rows, every
+    reduction runs over axis 0 in count order, and a column's cells past
+    its own window are zeroed, which keeps every coordinate's moments
+    independent of the block it falls in.  Besides the two outputs the
+    working memory is O(_CHUNK + _BLOCK_CELLS).
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     _require(r_arr.ndim == 1, "observations must be a scalar or a vector")
@@ -148,33 +217,54 @@ def posterior_moments(r, xi, prior):
     two_xi = np.maximum(xi_arr, XI_FLOOR)
     two_xi *= 2.0
     two_xi = np.broadcast_to(two_xi, r_arr.shape)
-    ks = prior.support[:, None]
-    log_mass = prior.log_mass[:, None]
-    n_k, size = ks.shape[0], r_arr.size
-    cols = max(1, _BLOCK_CELLS // n_k)
-    w_buf = np.empty(n_k * min(cols, size))
-    t_buf = np.empty_like(w_buf)
+    support = prior.support
+    n_k, size = support.size, r_arr.size
+    steps = np.arange(n_k)[:, None]
+    cells = min(max(_BLOCK_CELLS, n_k), n_k * size)
+    work = np.empty((3, cells))
+    idx_buf = np.empty(cells, dtype=np.intp)
     mean = np.empty(size)
     var = np.empty(size)
-    for start in range(0, size, cols):
-        blk = slice(start, min(start + cols, size))
-        width = blk.stop - start
-        w = w_buf[: n_k * width].reshape(n_k, width)
-        t = t_buf[: n_k * width].reshape(n_k, width)
-        np.subtract(r_arr[blk], ks, out=w)
-        np.square(w, out=w)
-        w /= two_xi[blk]
-        np.subtract(log_mass, w, out=w)
-        w -= w.max(axis=0)
-        np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
-        np.exp(w, out=w)
-        total = _sum_counts(w)
-        np.multiply(w, ks, out=t)
-        mean[blk] = _sum_counts(t) / total
-        np.subtract(ks, mean[blk], out=t)
-        np.square(t, out=t)
-        t *= w
-        var[blk] = _sum_counts(t) / total
+    for start in range(0, size, _CHUNK):
+        chunk = slice(start, min(start + _CHUNK, size))
+        first, length = _windows(r_arr[chunk], two_xi[chunk], prior)
+        # Widest window first.  A window of _BLOCK_CELLS counts or more
+        # fills a block alone, so capping the sort key there loses nothing
+        # and lets numpy radix-sort 16-bit keys.
+        key = np.minimum(length, _BLOCK_CELLS).astype(np.uint16)
+        order = np.argsort(key, kind="stable")[::-1]
+        first, length = first[order], length[order]
+        order += start
+        r_c, two_xi_c = r_arr[order], two_xi[order]
+        mean_c, var_c = np.empty((2, order.size))
+        pos = 0
+        while pos < order.size:
+            rows = int(length[pos])
+            blk = slice(pos, min(pos + max(1, _BLOCK_CELLS // rows),
+                                 order.size))
+            pos = blk.stop
+            n_cells = rows * (blk.stop - blk.start)
+            # contiguous (rows, columns) views: see _sum_counts
+            w, t, ks = work[:, :n_cells].reshape(3, rows, -1)
+            idx = idx_buf[:n_cells].reshape(rows, -1)
+            np.add(steps[:rows], first[blk], out=idx)
+            np.take(support, idx, out=ks, mode="clip")
+            np.take(prior.log_mass, idx, out=t, mode="clip")
+            _log_weight(r_c[blk], two_xi_c[blk], ks, t, out=w)
+            w -= w.max(axis=0)
+            np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
+            np.exp(w, out=w)
+            np.less(steps[:rows], length[blk], out=t)
+            w *= t  # zero the cells past each column's own window
+            total = _sum_counts(w)
+            np.multiply(w, ks, out=t)
+            mean_c[blk] = _sum_counts(t) / total
+            np.subtract(ks, mean_c[blk], out=t)
+            np.square(t, out=t)
+            t *= w
+            var_c[blk] = _sum_counts(t) / total
+        mean[order] = mean_c
+        var[order] = var_c
     if np.ndim(r) == 0:
         return float(mean[0]), float(var[0])
     return mean, var

@@ -10,11 +10,14 @@ finite estimate and are counted in the diverged column.
 """
 
 import csv
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from importlib.util import find_spec
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -177,12 +180,50 @@ def aggregate(results, config, decoder, param="none", value=None):
     }
 
 
+# The OpenBLAS builds that the numpy and scipy wheels bundle in their
+# <package>.libs directories: file pattern and the suffix of their symbols.
+_BUNDLED_OPENBLAS = {"numpy": ("libscipy_openblas64_*.so", "64_"),
+                     "scipy": ("libscipy_openblas*.so", "")}
+
+
+def _bundled_openblas():
+    """(library, symbol suffix) of each OpenBLAS in the numpy and scipy wheels.
+
+    A package installed some other way (a source build, conda) has no
+    <package>.libs directory and contributes nothing.
+    """
+    found = []
+    for package, (pattern, suffix) in _BUNDLED_OPENBLAS.items():
+        site = Path(find_spec(package).origin).parent.parent
+        lib_dir = site / f"{package}.libs"
+        found += [(ctypes.CDLL(str(path)), suffix)
+                  for path in sorted(lib_dir.glob(pattern))]
+    return found
+
+
+def _one_blas_thread():
+    """Pool initializer: run every bundled OpenBLAS on one thread.
+
+    Forked workers keep the parent's BLAS thread count, so each worker's
+    LAPACK calls (EP's Cholesky factor and inverse) would spread over every
+    CPU and the pool would oversubscribe them.  Only the OpenBLAS builds of
+    the numpy and scipy wheels are reached; with a BLAS from elsewhere, set
+    OPENBLAS_NUM_THREADS=1 (or that BLAS's own variable) before starting.
+    """
+    for lib, suffix in _bundled_openblas():
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
 def run_sweep(spec, workers=None, log=None):
     """Run every (value, decoder) cell of a sweep; returns the summary rows.
 
     Each scene is simulated once and decoded by every decoder, and the whole
     sweep shares one pool of `workers` processes (a whole number >= 1,
-    default: the CPU count), capped at the number of scenes.  When spec.out
+    default: the CPU count), capped at the number of scenes, each worker
+    running its BLAS on one thread (see _one_blas_thread).  When spec.out
     is set, the CSV is written before the first scene and again each time a
     value's scenes are done, so an interrupted run leaves the rows finished
     so far.
@@ -197,7 +238,8 @@ def run_sweep(spec, workers=None, log=None):
         _write_csv(spec.out, [])
     if workers <= 1:
         return _summarize(spec, configs, map(run_trial, *zip(*tasks)), log)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_one_blas_thread) as pool:
         return _summarize(spec, configs, pool.map(run_trial, *zip(*tasks)),
                           log)
 

@@ -13,13 +13,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import posterior_mean_deriv, reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior,
                   posterior_moments)
-from tuma.denoiser import _BLOCK_CELLS
+from tuma.decoders import VAR_CEILING
+from tuma.denoiser import XI_FLOOR, _BLOCK_CELLS, _LOG_WEIGHT_FLOOR, _windows
 
 
 def prior_oracle(ka, ma, m):
@@ -254,6 +255,60 @@ def test_posterior_matches_unblocked_reference(prior, size, per_coordinate,
     # the normalization criterion 4 uses
     assert np.max(np.abs(mean - mean_ref) / (1 + np.abs(mean_ref))) <= 1e-12
     assert np.max(np.abs(var - var_ref) / (1 + np.abs(var_ref))) <= 1e-12
+
+
+_BIMODAL = CountPrior(pmf=np.r_[0.5, np.full(39, 1e-300), 0.5 - 39e-300],
+                      ka=40)
+_GAPPED = CountPrior(pmf=np.array([0.3, 0.0, 0.0, 1e-30, 0.0, 0.7 - 1e-30]),
+                     ka=5)
+
+
+def _shifted_log_weights(r, xi, prior):
+    """Max-shifted log-weights, one row per support count, by the formula."""
+    two_xi = 2.0 * np.maximum(xi, XI_FLOOR)
+    log_w = (prior.log_mass[:, None]
+             - (r - prior.support[:, None]) ** 2 / two_xi)
+    return log_w - log_w.max(axis=0)
+
+
+@settings(max_examples=150)
+@given(prior=_PRIORS, seed=st.integers(0, 2**32 - 1))
+@example(prior=_BIMODAL, seed=1)
+@example(prior=_GAPPED, seed=2)
+def test_window_keeps_every_weight_above_the_floor(prior, seed):
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-5.0, prior.ka + 5.0, 64)
+    r[:4] = [-1e4, prior.ka + 1e4, -300.0, prior.ka + 300.0]
+    # xi spans both clamp ends, and a fifth of it sits on each
+    xi = 10.0 ** rng.uniform(-14, 12, r.size)
+    xi = np.where(rng.random(r.size) < 0.2, XI_FLOOR, xi)
+    xi = np.where(rng.random(r.size) < 0.2, VAR_CEILING, xi)
+    two_xi = 2.0 * np.maximum(xi, XI_FLOOR)
+    first, length = _windows(r, two_xi, prior)
+    shifted = _shifted_log_weights(r, xi, prior)
+    index = np.arange(prior.support.size)[:, None]
+    inside = (index >= first) & (index < first + length)
+    assert np.all(length >= 1) and np.all(first + length <= index.size)
+    assert np.all(shifted[~inside] < _LOG_WEIGHT_FLOOR)
+    assert np.all(inside[np.argmax(shifted, axis=0), np.arange(r.size)])
+
+
+@pytest.mark.parametrize("xi", [XI_FLOOR, 1e-3, 1.0, VAR_CEILING])
+@pytest.mark.parametrize("prior", [
+    multiplicity_prior(100, 10, 2**14), multiplicity_prior(50, 150, 1024),
+    _BIMODAL, _GAPPED], ids=["bits14", "paper", "bimodal", "gapped"])
+def test_posterior_far_in_the_tail(prior, xi):
+    # r far below 0 and far above ka, where only an edge count can carry
+    # weight unless xi is huge; at small xi the window's radius there is
+    # a huge distance less a tiny margin, so roundoff alone can move it
+    far = np.r_[0.5, 50.0, np.random.default_rng(43).uniform(10.0, 1e6, 100)]
+    r = np.concatenate([-far, [0.5 * prior.ka], prior.ka + far])
+    mean, var = posterior_moments(r, xi, prior)
+    mean_ref, var_ref = reference_tilted(r, xi, prior)
+    assert np.max(np.abs(mean - mean_ref) / (1 + np.abs(mean_ref))) <= 1e-12
+    assert np.max(np.abs(var - var_ref) / (1 + np.abs(var_ref))) <= 1e-12
+    one = [posterior_moments(value, xi, prior) for value in r]
+    assert one == list(zip(mean, var))
 
 
 def test_posterior_does_not_depend_on_block_boundaries():

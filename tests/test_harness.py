@@ -124,7 +124,8 @@ def _fake_pool(monkeypatch):
     started = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
+            # the initializer is not run: it would set this process's BLAS
             started.append(max_workers)
 
         def __enter__(self):
@@ -195,6 +196,34 @@ def test_decoder_error_stops_a_pooled_sweep(monkeypatch, tmp_path):
         run_sweep(spec, workers=2)
     # the first scene fails; only scenes already handed to a worker still run
     assert len(log.read_text().splitlines()) < 20
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched module")
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    libs = harness._bundled_openblas()
+    assert libs, "no OpenBLAS bundled with numpy or scipy"
+
+    def blas(name, suffix, lib):
+        return getattr(lib, f"scipy_openblas_{name}_num_threads{suffix}")
+
+    def threads():
+        return [blas("get", suffix, lib)() for lib, suffix in libs]
+
+    def report_threads(*args):  # runs in the worker, in place of the LP
+        return float(max(threads())), None
+
+    monkeypatch.setattr(harness, "wasserstein", report_threads)
+    before = threads()
+    for lib, suffix in libs:  # what a fork inherits on a multi-CPU machine
+        blas("set", suffix, lib)(2)
+    try:
+        rows = run_sweep(SweepSpec(base=TINY, param="bits", values=(3, 4)),
+                         workers=2)
+    finally:
+        for (lib, suffix), count in zip(libs, before):
+            blas("set", suffix, lib)(count)
+    assert [row["wp_mean"] for row in rows] == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +389,17 @@ def test_cli_rejects_a_fractional_swept_value(tmp_path, capsys, monkeypatch):
                     "--out", str(out), "--workers", "1"]) == 2
     assert "bits must be a whole number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_refuses_bad_workers_before_its_header(tmp_path, capsys):
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("workers = 0\n")
+    for extra in (["--workers", "0"], ["--config", str(zero)]):
+        assert run_cli(["run", "--n", "16", "--ka", "3", "--ma", "2",
+                        "--bits", "4", "--trials", "1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be a whole number" in captured.err
 
 
 def test_cli_run_refuses_sweep_keys_in_its_config(tmp_path, capsys):
