@@ -19,8 +19,8 @@ one entry point, runs all three through one loop.  It reports the soft
 posterior-mean estimate, the rounded and clamped integer estimate, and
 per-iteration diagnostics.  Iterations stop early once the rounded estimate
 repeats (disable via options.early_stop to run the full iteration budget);
-non-finite state raises DecoderDiverged carrying a report built from the
-last finite estimate.
+non-finite state, or an observation the denoiser does not accept, raises
+DecoderDiverged carrying a report built from the last finite estimate.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
-from .denoiser import XI_FLOOR, posterior_moments
+from .denoiser import XI_FLOOR, observations_in_range, posterior_moments
 
 # Every variance-like quantity is clamped into [XI_FLOOR, VAR_CEILING].
 VAR_CEILING = 1e12
@@ -112,6 +112,13 @@ def _finite(*arrays):
         raise FloatingPointError("non-finite decoder state")
 
 
+def _denoisable(r, xi, prior):
+    """Raise FloatingPointError unless posterior_moments accepts r and xi."""
+    _finite(xi)
+    if not observations_in_range(r, prior.ka):
+        raise FloatingPointError("observation out of the denoiser's range")
+
+
 def _amp(received, cb, prior, k):
     """AMP with a scalar effective-noise track.
 
@@ -128,7 +135,7 @@ def _amp(received, cb, prior, k):
     while True:
         xi = float(z @ z) / (n * npw)
         r = adjoint(cb, z) / snp + k
-        _finite(r, [xi])
+        _denoisable(r, [xi], prior)
         xi = max(xi, XI_FLOOR)
         k, v = posterior_moments(r, xi, prior)
         onsager = (m / n) * float(np.mean(v)) / xi
@@ -163,7 +170,7 @@ def _scalar_amp(received, cb, prior, k):
         with np.errstate(over="ignore"):
             xi = 1.0 / sq_adjoint(cb, 1.0 / (sigma2 + v))
         r = k + xi * adjoint(cb, scaled)
-        _finite(r, xi)
+        _denoisable(r, xi, prior)
         xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
         k, v_soft = posterior_moments(r, xi, prior)
         _finite(k, v_soft)
@@ -269,7 +276,7 @@ def _ep(received, cb, prior, k):
         eta0 = mu0_hat / xi0_hat - eta1
         xi0 = 1.0 / lam0
         mu0 = xi0 * eta0
-        _finite(mu0, xi0)
+        _denoisable(mu0, xi0, prior)
         # tilted moments of the cavity-tilted count prior
         k, v = posterior_moments(mu0, xi0, prior)
         _finite(k, v)
@@ -297,8 +304,9 @@ def decode(received, cb, prior, options):
     (k_soft, xi_mean, residual) once per iteration.  The loop stops after
     options.max_iters iterations, or once two consecutive iterations round
     to the same estimate (unless options.early_stop is off).  Non-finite
-    decoder state, or an EP projection that fails to factor, raises
-    DecoderDiverged carrying the report of the last accepted estimate.
+    decoder state, an observation out of the denoiser's range, or an EP
+    projection that fails to factor, raises DecoderDiverged carrying the
+    report of the last accepted estimate.
     """
     k_soft = np.full(cb.m, prior.mean)
     updates = _UPDATES[options.algorithm](received, cb, prior, k_soft)

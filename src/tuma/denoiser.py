@@ -10,8 +10,9 @@ m'/ma, so the per-message multiplicity follows the binomial mixture
 The decoders see each coordinate through an effective scalar observation
 r = k + N(0, xi).  posterior_moments returns the tilted mean f and
 variance g of that model, evaluated over the prior's support only (counts
-with zero prior mass get exactly zero weight).  The log-weights are shifted
-by their maximum, so small xi does not overflow, and floored at
+with zero prior mass get exactly zero weight).  It takes observations with
+|r| + ka + 1 <= R_LIMIT, so no squared distance overflows.  The log-weights
+are shifted by their maximum, so small xi does not overflow, and floored at
 _LOG_WEIGHT_FLOOR before exponentiation (see there).  Each coordinate
 evaluates only its window, the contiguous run of support counts whose
 shifted log-weight can reach the floor: a cheap lower bound on the
@@ -24,6 +25,7 @@ O(m + chunk + block) rather than O(m (ka + 1)).  The derivative of the
 tilted mean obeys the exponential-family identity f'(r) = g(r) / xi.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,11 @@ from scipy.special import gammaln, logsumexp
 from .scenario import _require, _whole
 
 XI_FLOOR = 1e-12  # effective noise variances are clamped below at this
+
+# The largest magnitude whose square over 2 XI_FLOOR is finite.  An
+# observation r is accepted when |r| + ka + 1 is at most this, so every
+# squared distance (r - k)^2 / (2 xi) and every window radius stays finite.
+R_LIMIT = math.sqrt(2.0 * XI_FLOOR * np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +77,11 @@ class CountPrior:
             object.__setattr__(self, name, val)
         for name, val in (("ka", ka), ("mean", mean), ("var", var)):
             object.__setattr__(self, name, val)
+
+
+def observations_in_range(r, ka):
+    """Whether every observation is finite and |r| + ka + 1 <= R_LIMIT."""
+    return bool(np.all(np.abs(r) <= R_LIMIT - (ka + 1)))
 
 
 def _binom_log_table(n_trials, log_p, log_1mp):
@@ -210,7 +222,8 @@ def posterior_moments(r, xi, prior):
     xi_arr = np.asarray(xi, dtype=float)
     _require(xi_arr.ndim == 0 or xi_arr.shape == r_arr.shape,
              "noise variance must be a scalar or shaped like the observations")
-    _require(np.all(np.isfinite(r_arr)), "observations must be finite")
+    _require(observations_in_range(r_arr, prior.ka),
+             "observations must be finite, with |r| + ka + 1 <= R_LIMIT")
     _require(np.all(xi_arr > 0) and np.all(np.isfinite(xi_arr)),
              "noise variance must be positive and finite")
     # Doubling is exact, so q / (2 xi) has the same bits as 0.5 q / xi.

@@ -7,8 +7,10 @@ multiple of the two totals and the problem is solved in integer units (exact
 rational marginals; one division at the end).  If sending every row atom's
 mass to its nearest column atom already meets the column marginals exactly,
 that coupling is returned: it is optimal and a vertex of the transport
-polytope (see wasserstein).  Otherwise the transport LP is solved with a
-dual-simplex method, so the solution is again a basic (vertex) one.
+polytope (see wasserstein).  Otherwise the transport LP goes straight to
+HiGHS's dual simplex through the bindings scipy bundles, with no Python
+wrapper in between (see _transport_lp), so the solution is again a basic
+(vertex) one.
 
 total_variation compares normalized multiplicity vectors directly, and
 quantization_distortion is the transport cost of quantization alone (true
@@ -20,8 +22,10 @@ always takes the nearest-atom path and solves no LP.
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+# scipy's private HiGHS bindings (verified on scipy 1.17): a scipy without
+# them fails here, at import, rather than at the first LP
+from scipy.optimize._highspy._core import (HighsModelStatus, MatrixFormat,
+                                           ObjSense, _Highs)
 from scipy.spatial.distance import cdist
 
 from .scenario import DiscreteMeasure, _require
@@ -72,27 +76,39 @@ def wasserstein(mu, nu, p=2.0):
 
 
 def _transport_lp(cost, a, b):
-    """Vertex solution of the balanced transport LP, in the units of a, b."""
-    rows, cols = cost.shape
-    cells = rows * cols
-    # equality constraints: all row sums, then all column sums but the last
-    # (redundant once the problem is balanced); row i covers cells
-    # i*cols..(i+1)*cols-1, column j covers cells j, j+cols, ...
-    flat = np.arange(cells)
-    indices = np.concatenate(
-        [flat, flat.reshape(rows, cols).T.ravel()[: (cols - 1) * rows]])
-    indptr = np.concatenate(
-        [np.arange(rows + 1) * cols, cells + np.arange(1, cols) * rows])
-    a_eq = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                             shape=(rows + cols - 1, cells))
-    b_eq = np.concatenate([a, b[:-1]])
+    """Vertex solution of the balanced transport LP, in the units of a, b.
 
-    # presolve finds nothing to remove in a transport LP; skip its fixed cost
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds", options={"presolve": False})
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(rows, cols)
+    The LP goes straight to HiGHS's dual simplex (presolve off: it finds
+    nothing to remove in a transport LP) through scipy's bundled bindings.
+    Column i * cols + j is cell (i, j); its equality rows are row sum i and,
+    unless j is the last column, column sum j, whose row is rows + j (the
+    last column sum is redundant once the problem is balanced).  A model
+    HiGHS does not solve to optimality raises RuntimeError.
+    """
+    rows, cols = cost.shape
+    cells, num_row = rows * cols, rows + cols - 1
+    col = np.arange(cells + 1, dtype=np.int32)
+    start = 2 * col - col // cols  # a row's last cell has one nonzero
+    i, j = np.divmod(col[:-1], cols)
+    index = np.stack([i, rows + j], axis=1).ravel()
+    index = index[index < num_row]
+    rhs = np.concatenate([a, b[:-1]]).astype(float)
+
+    highs = _Highs()
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("solver", "simplex"), ("simplex_strategy", 1)):
+        highs.setOptionValue(option, value)
+    highs.passModel(cells, num_row, index.size, MatrixFormat.kColwise,
+                    ObjSense.kMinimize, 0.0, cost.ravel(),
+                    np.zeros(cells), np.full(cells, np.inf), rhs, rhs,
+                    start, index, np.ones(index.size),
+                    np.zeros(cells, dtype=np.int32))
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            f"transport LP failed: {highs.modelStatusToString(status)}")
+    plan = np.array(highs.getSolution().col_value).reshape(rows, cols)
     return np.where(plan > 0, plan, 0.0)  # simplex roundoff only
 
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import tuma.decoders
 from oracles import dense_codebook, dense_ep_projection, noiseless_transmit
 from tuma import (ALGORITHMS, ConfigError, DecoderDiverged, DecoderOptions,
-                  decode, estimated_type, grid_codebook, hadamard_codebook,
-                  multiplicity_prior, posterior_moments, round_estimate,
-                  transmit, trial_rng)
+                  ReceivedSignal, decode, estimated_type, grid_codebook,
+                  hadamard_codebook, multiplicity_prior, posterior_moments,
+                  round_estimate, transmit, trial_rng)
 from tuma.decoders import EP_DAMPING, VAR_CEILING
 from tuma.denoiser import XI_FLOOR
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
@@ -247,6 +247,19 @@ def test_divergence_raises_with_last_finite_report(algorithm, monkeypatch):
     assert report.xi_track == () and report.residual_track == ()
     assert np.all(np.isfinite(report.k_soft))
     assert np.all(np.isfinite(report.k_hat))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_out_of_range_observation_raises_diverged(algorithm):
+    # finite observations too large for the denoiser end the decode as a
+    # divergence, not as the denoiser's ConfigError
+    cb, prior, _, _ = make_instance(16, 16, 5, 3, 0.0, seed=63)
+    received = ReceivedSignal(y=np.full(16, 1e150), power=1.0)
+    with pytest.raises(DecoderDiverged) as excinfo:
+        decode(received, cb, prior, DecoderOptions(algorithm=algorithm))
+    assert isinstance(excinfo.value.__cause__, FloatingPointError)
+    report = excinfo.value.report
+    assert report.diverged and report.iterations_run == 1
 
 
 @pytest.mark.parametrize("factorization", ["dpotrf", "dpotri"])

@@ -20,7 +20,8 @@ from oracles import posterior_mean_deriv, reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior,
                   posterior_moments)
 from tuma.decoders import VAR_CEILING
-from tuma.denoiser import XI_FLOOR, _BLOCK_CELLS, _LOG_WEIGHT_FLOOR, _windows
+from tuma.denoiser import (R_LIMIT, XI_FLOOR, _BLOCK_CELLS, _LOG_WEIGHT_FLOOR,
+                           _windows)
 
 
 def prior_oracle(ka, ma, m):
@@ -354,11 +355,38 @@ def test_posterior_rejects_bad_inputs():
         posterior_moments(1.0, -0.3, prior)
     with pytest.raises(ConfigError):
         posterior_moments(float("nan"), 0.5, prior)
+    with pytest.raises(ConfigError):
+        posterior_moments(float("inf"), 0.5, prior)
     r = np.linspace(0.0, 5.0, 6)
     with pytest.raises(ConfigError):
         posterior_moments(r, np.full(5, 0.5), prior)       # length mismatch
     with pytest.raises(ConfigError):
         posterior_moments(r, np.full((1, 6), 0.5), prior)  # 2-D xi
+
+
+def test_observation_limit_is_the_largest_finite_distance():
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.float64(R_LIMIT) ** 2 / (2 * XI_FLOOR))
+        assert np.isinf(np.nextafter(R_LIMIT, np.inf) ** 2 / (2 * XI_FLOOR))
+
+
+@pytest.mark.parametrize("r", [1e200, -1e200, 2 * R_LIMIT])
+def test_posterior_rejects_observations_that_overflow(r):
+    # (r - k)^2 overflowed here and the moments came out NaN
+    prior = multiplicity_prior(5, 3, 8)
+    with pytest.raises(ConfigError):
+        posterior_moments(r, 1.0, prior)
+    with pytest.raises(ConfigError):
+        posterior_moments(np.array([1.0, r]), XI_FLOOR, prior)
+
+
+@pytest.mark.parametrize("xi", [XI_FLOOR, 1.0, 1e300])
+def test_posterior_is_finite_up_to_the_observation_limit(xi):
+    prior = multiplicity_prior(5, 3, 8)
+    r = np.array([-R_LIMIT, 0.5, R_LIMIT])
+    with np.errstate(all="raise"):
+        f, g = posterior_moments(r, xi, prior)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_wasserstein_matches_full_lp(rows, cols, kind, p, seed):
                               grid=8 if kind == "ties" else None)
     # in integer units the built pairs must skip the LP
     skips_lp = kind != "random"
-    no_lp = mock.patch.object(metrics, "linprog",
+    no_lp = mock.patch.object(metrics, "_transport_lp",
                               side_effect=AssertionError("LP solved"))
     with no_lp if skips_lp else nullcontext():
         dist, plan = wasserstein(mu, nu, p)
@@ -127,6 +127,14 @@ def test_wasserstein_matches_full_lp(rows, cols, kind, p, seed):
     assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-12
     # a vertex of the transport polytope has an acyclic support
     assert np.count_nonzero(plan) <= mu.size + nu.size - 1
+
+
+def test_transport_lp_failure_is_typed():
+    # the last column sum is dropped as redundant, so unbalanced marginals
+    # leave column 0 asking for more mass than the rows hold
+    cost = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(RuntimeError, match="transport LP failed"):
+        metrics._transport_lp(cost, np.array([1, 1]), np.array([3, 3, 3]))
 
 
 def test_wasserstein_metric_axioms():
@@ -238,7 +246,7 @@ def test_distortion_solves_no_lp(m, monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("quantization_distortion solved an LP")
 
-    monkeypatch.setattr(metrics, "linprog", no_lp)
+    monkeypatch.setattr(metrics, "_transport_lp", no_lp)
     quantizer = grid_codebook(m)
     rng = np.random.default_rng(m)
     for _ in range(20):
