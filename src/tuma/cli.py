@@ -15,6 +15,7 @@ import dataclasses
 import sys
 
 from .scenario import SystemConfig, _whole
+from .decoders import ALGORITHMS
 from .harness import SWEEPABLE, SweepSpec, run_sweep
 
 DEFAULTS = {"n": 250, "ka": 50, "ma": 50, "bits": 10, "snr_db": -12.0,
@@ -35,8 +36,8 @@ RUN_FLAGS = {
     "ma": dict(type=int, help="number of targets"),
     "bits": dict(type=int, help="log2 of codebook size m"),
     "snr_db": dict(type=float, help="per-codeword power in dB"),
-    "decoder": dict(type=str,
-                    help="amp, scalar_amp, ep (comma-separated for several)"),
+    "decoder": dict(type=str, help=f"{', '.join(ALGORITHMS)} "
+                                   "(comma-separated for several)"),
     "trials": dict(type=int, help="Monte Carlo trials (default 200 for run "
                                   "and --param ma, else 100)"),
     "seed": dict(type=int, help="base seed"),

@@ -6,10 +6,13 @@ y = sqrt(nP) C k + z using the same scalar count posterior (denoiser) and
 differ in how they track the effective observation and its uncertainty:
 
   amp        -- approximate message passing: matched-filter statistic with an
-                Onsager-corrected residual and one scalar noise-variance track
-                xi = ||z||^2 / (n nP);
-  scalar_amp -- generalized AMP with per-coordinate variance tracks, using
-                only elementwise-squared codebook products;
+                Onsager-corrected residual z and one scalar noise-variance
+                track xi = ||z||^2 / (n nP);
+  scalar_amp -- generalized AMP, written with per-coordinate variances over
+                elementwise-squared codebook products; on a Hadamard codebook
+                those products are constant vectors, so the variance is one
+                number per iteration (folding it into amp waits on the
+                benchmark, see ROADMAP);
   ep         -- expectation propagation: Gaussian sites per coordinate, an
                 exact multivariate Gaussian projection of the full likelihood,
                 and moment matching against the count prior.
@@ -19,8 +22,8 @@ one entry point, runs all three through one loop.  It reports the soft
 posterior-mean estimate, the rounded and clamped integer estimate, and
 per-iteration diagnostics.  Iterations stop early once the rounded estimate
 repeats (disable via options.early_stop to run the full iteration budget);
-non-finite state, or an observation the denoiser does not accept, raises
-DecoderDiverged carrying a report built from the last finite estimate.
+non-finite state, or an input the denoiser refuses, raises DecoderDiverged
+carrying a report built from the last finite estimate.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
-from .denoiser import XI_FLOOR, observations_in_range, posterior_moments
+from .denoiser import XI_FLOOR, posterior_moments
 
 # Every variance-like quantity is clamped into [XI_FLOOR, VAR_CEILING].
 VAR_CEILING = 1e12
@@ -72,9 +75,7 @@ class DecoderReport:
     k_soft         -- posterior-mean estimate the rounding was applied to
     iterations_run -- iterations actually executed
     xi_track       -- mean effective noise variance per iteration
-    residual_track -- residual norm per iteration: for amp the Onsager-
-                      corrected ||z||, for scalar_amp and ep
-                      ||y - sqrt(nP) C k_soft||
+    residual_track -- ||y - sqrt(nP) C k_soft|| per iteration
     fallback_used  -- True if the all-zero rounding fallback fired
     diverged       -- True if the run was cut short by non-finite values
                       or an EP projection that failed to factor
@@ -112,13 +113,6 @@ def _finite(*arrays):
         raise FloatingPointError("non-finite decoder state")
 
 
-def _denoisable(r, xi, prior):
-    """Raise FloatingPointError unless posterior_moments accepts r and xi."""
-    _finite(xi)
-    if not observations_in_range(r, prior.ka):
-        raise FloatingPointError("observation out of the denoiser's range")
-
-
 def _amp(received, cb, prior, k):
     """AMP with a scalar effective-noise track.
 
@@ -126,7 +120,8 @@ def _amp(received, cb, prior, k):
     k + N(0, xi) with xi = ||z||^2 / (n nP); the denoised estimate feeds the
     next residual z = y - sqrt(nP) C k_hat + (m/n) <f'> z_prev, whose last
     term is the Onsager correction with <f'> the mean denoiser derivative
-    g / xi.  The residual reported is ||z||, correction included.
+    g / xi.  The residual reported is ||y - sqrt(nP) C k_hat||, before the
+    correction; ||z|| itself is sqrt(n nP xi) of the next iteration.
     """
     n, m = cb.n, cb.m
     npw = n * received.power
@@ -135,24 +130,25 @@ def _amp(received, cb, prior, k):
     while True:
         xi = float(z @ z) / (n * npw)
         r = adjoint(cb, z) / snp + k
-        _denoisable(r, [xi], prior)
         xi = max(xi, XI_FLOOR)
         k, v = posterior_moments(r, xi, prior)
         onsager = (m / n) * float(np.mean(v)) / xi
-        z = received.y - snp * apply(cb, k) + onsager * z
+        residual = received.y - snp * apply(cb, k)
+        z = residual + onsager * z
         _finite(k, z)
-        yield k, xi, np.linalg.norm(z)
+        yield k, xi, np.linalg.norm(residual)
 
 
 def _scalar_amp(received, cb, prior, k):
-    """Generalized AMP with per-coordinate variance tracks.
+    """Generalized AMP, written with per-coordinate variances.
 
     Works on the rescaled model y' = y/sqrt(nP) = C k + N(0, sigma2 I) with
     sigma2 = 1/(nP).  Per iteration: output variances v = |C|^2 v_hat,
     corrected output mean z = C k_hat - v (y' - z_prev)/(sigma2 + v_prev),
     input variances xi = 1 / ((|C|^2)^T (sigma2 + v)^{-1}), pseudo-
     observations r = k_hat + xi C^T ((y' - z)/(sigma2 + v)), then moment
-    matching against the count prior.
+    matching against the count prior.  On a Hadamard codebook sq_apply and
+    sq_adjoint return constant vectors, so v and xi are one number each.
     """
     npw = cb.n * received.power
     snp = np.sqrt(npw)
@@ -170,7 +166,6 @@ def _scalar_amp(received, cb, prior, k):
         with np.errstate(over="ignore"):
             xi = 1.0 / sq_adjoint(cb, 1.0 / (sigma2 + v))
         r = k + xi * adjoint(cb, scaled)
-        _denoisable(r, xi, prior)
         xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
         k, v_soft = posterior_moments(r, xi, prior)
         _finite(k, v_soft)
@@ -276,7 +271,6 @@ def _ep(received, cb, prior, k):
         eta0 = mu0_hat / xi0_hat - eta1
         xi0 = 1.0 / lam0
         mu0 = xi0 * eta0
-        _denoisable(mu0, xi0, prior)
         # tilted moments of the cavity-tilted count prior
         k, v = posterior_moments(mu0, xi0, prior)
         _finite(k, v)
@@ -304,9 +298,9 @@ def decode(received, cb, prior, options):
     (k_soft, xi_mean, residual) once per iteration.  The loop stops after
     options.max_iters iterations, or once two consecutive iterations round
     to the same estimate (unless options.early_stop is off).  Non-finite
-    decoder state, an observation out of the denoiser's range, or an EP
-    projection that fails to factor, raises DecoderDiverged carrying the
-    report of the last accepted estimate.
+    decoder state, an input the denoiser refuses, or an EP projection that
+    fails to factor, raises DecoderDiverged carrying the report of the last
+    accepted estimate.
     """
     k_soft = np.full(cb.m, prior.mean)
     updates = _UPDATES[options.algorithm](received, cb, prior, k_soft)

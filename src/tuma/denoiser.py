@@ -10,15 +10,18 @@ m'/ma, so the per-message multiplicity follows the binomial mixture
 The decoders see each coordinate through an effective scalar observation
 r = k + N(0, xi).  posterior_moments returns the tilted mean f and
 variance g of that model, evaluated over the prior's support only (counts
-with zero prior mass get exactly zero weight).  It takes observations with
-|r| + ka + 1 <= R_LIMIT, so no squared distance overflows.  The log-weights
-are shifted by their maximum, so small xi does not overflow, and floored at
-_LOG_WEIGHT_FLOOR before exponentiation (see there).  Each coordinate
-evaluates only its window, the contiguous run of support counts whose
-shifted log-weight can reach the floor: a cheap lower bound on the
-largest log-weight caps the distance |r - k| of such a count (_windows),
-and every count outside the window gets weight exactly 0.  The variance
-is the centered second moment (no cancellation).  Coordinates are
+with zero prior mass get exactly zero weight).  It is the one judge of its
+inputs: it takes observations with |r| + ka + 1 <= R_LIMIT, so no squared
+distance overflows, and a positive finite xi, and refuses anything else
+with DenoiserInputError.  Each r is clamped to a short distance past the
+ends of the support, beyond which the moments are exactly those of the end
+count.  The log-weights are shifted by their maximum, so small xi does not
+overflow, and floored at _LOG_WEIGHT_FLOOR before exponentiation (see
+there).  Each coordinate evaluates only its window, the contiguous run of
+support counts whose shifted log-weight can reach the floor: a cheap lower
+bound on the largest log-weight caps the distance |r - k| of such a count
+(_windows), and every count outside the window gets weight exactly 0.  The
+variance is the centered second moment (no cancellation).  Coordinates are
 processed in chunks of _CHUNK, sorted by window length, and in blocks of
 about _BLOCK_CELLS (window position, coordinate) cells, so memory is
 O(m + chunk + block) rather than O(m (ka + 1)).  The derivative of the
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .scenario import _require, _whole
+from .scenario import ConfigError, _require, _whole
 
 XI_FLOOR = 1e-12  # effective noise variances are clamped below at this
 
@@ -39,6 +42,10 @@ XI_FLOOR = 1e-12  # effective noise variances are clamped below at this
 # observation r is accepted when |r| + ka + 1 is at most this, so every
 # squared distance (r - k)^2 / (2 xi) and every window radius stays finite.
 R_LIMIT = math.sqrt(2.0 * XI_FLOOR * np.finfo(float).max)
+
+
+class DenoiserInputError(ConfigError, FloatingPointError):
+    """An input posterior_moments refuses; decode reports it as divergence."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +84,6 @@ class CountPrior:
             object.__setattr__(self, name, val)
         for name, val in (("ka", ka), ("mean", mean), ("var", var)):
             object.__setattr__(self, name, val)
-
-
-def observations_in_range(r, ka):
-    """Whether every observation is finite and |r| + ka + 1 <= R_LIMIT."""
-    return bool(np.all(np.abs(r) <= R_LIMIT - (ka + 1)))
 
 
 def _binom_log_table(n_trials, log_p, log_1mp):
@@ -208,6 +210,16 @@ def posterior_moments(r, xi, prior):
     gets weight 0.  The mean and the centered variance are weighted sums
     divided by the weight total.
 
+    A non-finite r or one with |r| + ka + 1 > R_LIMIT, or an xi that is not
+    positive and finite, raises DenoiserInputError.  Each r is clamped to
+    within reach = xi (max log p - min log p - _LOG_WEIGHT_FLOOR + 1) + 1
+    of the ends of the support: past that distance the end count's window
+    holds it alone, so the moments are exactly (end, 0), and the clamp
+    keeps (r - k)^2 small enough that neighbouring counts stay apart in
+    floating point.  So the moments are exact, to within roundoff, for every
+    accepted r and every xi up to 1e12 (decoders.VAR_CEILING, the top of
+    the decoders' variance range).
+
     Coordinates go in chunks of _CHUNK, sorted by window length within a
     chunk, and then in blocks of about _BLOCK_CELLS cells laid out as
     (window position, coordinate): each column gathers its own counts,
@@ -222,14 +234,19 @@ def posterior_moments(r, xi, prior):
     xi_arr = np.asarray(xi, dtype=float)
     _require(xi_arr.ndim == 0 or xi_arr.shape == r_arr.shape,
              "noise variance must be a scalar or shaped like the observations")
-    _require(observations_in_range(r_arr, prior.ka),
-             "observations must be finite, with |r| + ka + 1 <= R_LIMIT")
-    _require(np.all(xi_arr > 0) and np.all(np.isfinite(xi_arr)),
-             "noise variance must be positive and finite")
+    if not np.all(np.abs(r_arr) <= R_LIMIT - (prior.ka + 1)):
+        raise DenoiserInputError(
+            "observations must be finite, with |r| + ka + 1 <= R_LIMIT")
+    if not (np.all(xi_arr > 0) and np.all(np.isfinite(xi_arr))):
+        raise DenoiserInputError("noise variance must be positive and finite")
     # Doubling is exact, so q / (2 xi) has the same bits as 0.5 q / xi.
     two_xi = np.maximum(xi_arr, XI_FLOOR)
     two_xi *= 2.0
     two_xi = np.broadcast_to(two_xi, r_arr.shape)
+    # reach per unit of 2 xi; capping 2 xi at 2 R_LIMIT keeps reach finite
+    # where the clamp could not move an accepted r anyway
+    reach_rate = 0.5 * (prior.log_mass.max() - prior.log_mass.min()
+                        - _LOG_WEIGHT_FLOOR + 1.0)
     support = prior.support
     n_k, size = support.size, r_arr.size
     steps = np.arange(n_k)[:, None]
@@ -240,15 +257,20 @@ def posterior_moments(r, xi, prior):
     var = np.empty(size)
     for start in range(0, size, _CHUNK):
         chunk = slice(start, min(start + _CHUNK, size))
-        first, length = _windows(r_arr[chunk], two_xi[chunk], prior)
+        two_xi_k = two_xi[chunk]
+        reach = np.minimum(two_xi_k, 2.0 * R_LIMIT)
+        reach *= reach_rate
+        reach += 1.0
+        r_k = np.clip(r_arr[chunk], support[0] - reach, support[-1] + reach)
+        first, length = _windows(r_k, two_xi_k, prior)
         # Widest window first.  A window of _BLOCK_CELLS counts or more
         # fills a block alone, so capping the sort key there loses nothing
         # and lets numpy radix-sort 16-bit keys.
         key = np.minimum(length, _BLOCK_CELLS).astype(np.uint16)
         order = np.argsort(key, kind="stable")[::-1]
         first, length = first[order], length[order]
+        r_c, two_xi_c = r_k[order], two_xi_k[order]
         order += start
-        r_c, two_xi_c = r_arr[order], two_xi[order]
         mean_c, var_c = np.empty((2, order.size))
         pos = 0
         while pos < order.size:

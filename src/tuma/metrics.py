@@ -49,11 +49,20 @@ def wasserstein(mu, nu, p=2.0):
     its support is acyclic.  Ties go to the highest column index, as the grid
     quantizer sends a point on a cell edge to the upper cell, so the
     coupling always fits quantization_distortion.
+
+    An order p whose p-th power of some positive distance underflows or
+    overflows the normal float range raises ConfigError: the cost matrix
+    would no longer tell those atoms apart and the distance would come
+    out wrong (0 for a large p), not merely imprecise.
     """
     _require(1.0 <= p < math.inf, "order p must be finite and >= 1")
-    cost = cdist(mu.locations, nu.locations)
-    if p != 1.0:
-        cost = cost**p
+    dist = cdist(mu.locations, nu.locations)
+    with np.errstate(over="ignore"):
+        cost = dist**p if p != 1.0 else dist
+    powered = cost[dist > 0]
+    _require(np.all((powered >= np.finfo(float).tiny) & (powered < math.inf)),
+             f"order p={p:g} takes a distance's p-th power out of the "
+             "normal float range")
     rows, cols = cost.shape
     ta, tb = int(mu.counts.sum()), int(nu.counts.sum())
     scale = math.lcm(ta, tb)

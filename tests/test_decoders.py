@@ -162,6 +162,21 @@ def test_tracks_shrink_on_noiseless_decodes():
     assert report.residual_track[-1] < report.residual_track[0]
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("max_iters", [1, 2, 5])
+def test_residual_track_is_the_residual_of_k_soft(algorithm, max_iters):
+    # amp once reported its Onsager-corrected ||z|| here instead
+    cb, prior, _, received = make_instance(32, 64, 10, 15, 0.0, seed=59)
+    options = DecoderOptions(algorithm=algorithm, max_iters=max_iters,
+                             early_stop=False)
+    report = decode(received, cb, prior, options)
+    snp = np.sqrt(cb.n * received.power)
+    expected = np.linalg.norm(
+        received.y - snp * dense_codebook(cb) @ report.k_soft)
+    assert len(report.residual_track) == max_iters
+    assert abs(report.residual_track[-1] - expected) <= 1e-12 * expected
+
+
 def test_pure_noise_falls_back_to_single_atom():
     cb = hadamard_codebook(64, 64)
     prior = multiplicity_prior(5, 3, 64)

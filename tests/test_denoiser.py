@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from oracles import posterior_mean_deriv, reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior,
                   posterior_moments)
 from tuma.decoders import VAR_CEILING
 from tuma.denoiser import (R_LIMIT, XI_FLOOR, _BLOCK_CELLS, _LOG_WEIGHT_FLOOR,
-                           _windows)
+                           DenoiserInputError, _windows)
 
 
 def prior_oracle(ka, ma, m):
@@ -378,6 +379,47 @@ def test_posterior_rejects_observations_that_overflow(r):
         posterior_moments(r, 1.0, prior)
     with pytest.raises(ConfigError):
         posterior_moments(np.array([1.0, r]), XI_FLOOR, prior)
+
+
+@pytest.mark.parametrize("r,xi", [(float("nan"), 1.0), (1e200, 1.0),
+                                  (1.0, 0.0), (1.0, float("inf"))])
+def test_refusals_are_config_and_floating_point_errors(r, xi):
+    # a direct caller sees a ConfigError, decode a FloatingPointError
+    with pytest.raises(DenoiserInputError) as excinfo:
+        posterior_moments(r, xi, multiplicity_prior(5, 3, 8))
+    assert isinstance(excinfo.value, ConfigError)
+    assert isinstance(excinfo.value, FloatingPointError)
+
+
+def mp_posterior(r, xi, prior):
+    """Tilted mean and variance over the pmf's support, in 400 digits."""
+    with mp.workdps(400):
+        r, two_xi = mpf(r), 2 * mpf(xi)
+        counts = [k for k in range(prior.ka + 1) if prior.pmf[k] > 0]
+        logs = [mp.log(mpf(prior.pmf[k])) - (r - k) ** 2 / two_xi
+                for k in counts]
+        top = max(logs)
+        w = [mp.exp(log - top) for log in logs]
+        total = mp.fsum(w)
+        mean = mp.fsum(wk * k for wk, k in zip(w, counts)) / total
+        var = mp.fsum(wk * (k - mean) ** 2 for wk, k in zip(w, counts)) / total
+        return float(mean), float(var)
+
+
+@pytest.mark.parametrize("ka,ma,m", [(5, 3, 8), (50, 150, 1024)])
+@pytest.mark.parametrize("xi", [XI_FLOOR, 1.0, VAR_CEILING])
+def test_posterior_is_exact_for_every_accepted_observation(ka, ma, m, xi):
+    # far observations gave the plain support average, (2.5, 2.917) for
+    # (5, 3, 8), once (r - k)^2 rounded alike for every count; the answer
+    # is the end count with no spread
+    prior = multiplicity_prior(ka, ma, m)
+    far = [1e15, 1e16, 1e17, R_LIMIT - ka - 1]
+    r = np.array(far + [-x for x in far] + [ka + 3.0, -3.0])
+    mean, var = posterior_moments(r, xi, prior)
+    for i, ri in enumerate(r):
+        mean_ref, var_ref = mp_posterior(ri, xi, prior)
+        assert abs(mean[i] - mean_ref) <= 1e-14 * max(1.0, mean_ref)
+        assert abs(var[i] - var_ref) <= 1e-14 * max(1.0, var_ref)
 
 
 @pytest.mark.parametrize("xi", [XI_FLOOR, 1.0, 1e300])

@@ -175,6 +175,21 @@ def test_wasserstein_rejects_an_infinite_order():
         wasserstein(mu, nu, math.inf)
 
 
+@pytest.mark.parametrize("p,mu,nu", [
+    (400.0, [[0.0, 0.0]], [[0.1, 0.0]]),                # W_p is 0.1
+    (1000.0, [[0.0, 0.0], [0.5, 0.0]],
+     [[0.2, 0.0], [0.7, 0.0]]),                         # W_p is 0.2
+    (2100.0, [[0.0, 0.0]], [[1.0, 1.0]]),               # sqrt(2)^p overflows
+])
+def test_wasserstein_refuses_orders_whose_costs_leave_the_float_range(p, mu,
+                                                                      nu):
+    # cost**p underflowed to 0 here and the distance came out as 0.0
+    mu = DiscreteMeasure(np.ones(len(mu), dtype=np.int64), mu)
+    nu = DiscreteMeasure(np.ones(len(nu), dtype=np.int64), nu)
+    with pytest.raises(ConfigError):
+        wasserstein(mu, nu, p)
+
+
 # ---------------------------------------------------------------------------
 # total variation
 
