@@ -6,27 +6,27 @@ y = sqrt(nP) C k + z using the same scalar count posterior (denoiser) and
 differ in how they track the effective observation and its uncertainty:
 
   amp        -- approximate message passing: matched-filter statistic with an
-                Onsager-corrected residual z and one scalar noise-variance
-                track xi = ||z||^2 / (n nP);
-  scalar_amp -- generalized AMP, written with per-coordinate variances over
-                elementwise-squared codebook products; on a Hadamard codebook
-                those products are constant vectors, so the variance is one
-                number per iteration (folding it into amp waits on the
-                benchmark, see ROADMAP);
+                Onsager-corrected residual z and one noise variance per
+                iteration, measured as xi = ||z||^2 / (n nP);
+  scalar_amp -- the same recursion with the generalized-AMP variance rule:
+                xi and the Onsager term are predicted from the denoiser
+                variance through the elementwise-squared codebook;
   ep         -- expectation propagation: Gaussian sites per coordinate, an
                 exact multivariate Gaussian projection of the full likelihood,
                 and moment matching against the count prior.
 
-Each decoder is a private generator of per-iteration updates; decode, the
-one entry point, runs all three through one loop.  It reports the soft
-posterior-mean estimate, the rounded and clamped integer estimate, and
-per-iteration diagnostics.  Iterations stop early once the rounded estimate
-repeats (disable via options.early_stop to run the full iteration budget);
-non-finite state, or an input the denoiser refuses, raises DecoderDiverged
-carrying a report built from the last finite estimate.
+Each decoder is a private generator of per-iteration updates (_amp serves
+both AMP variance rules, _ep the third); decode, the one entry point, runs
+them all through one loop.  It reports the soft posterior-mean estimate,
+the rounded and clamped integer estimate, and per-iteration diagnostics.
+Iterations stop early once the rounded estimate repeats (disable via
+options.early_stop to run the full iteration budget); non-finite state, or
+an input the denoiser refuses, raises DecoderDiverged carrying a report
+built from the last finite estimate.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -34,10 +34,8 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
-from .denoiser import XI_FLOOR, posterior_moments
+from .denoiser import VAR_CEILING, XI_FLOOR, posterior_moments
 
-# Every variance-like quantity is clamped into [XI_FLOOR, VAR_CEILING].
-VAR_CEILING = 1e12
 # EP site updates in natural parameters: new = (1 - d) raw + d old.
 EP_DAMPING = 0.3
 
@@ -113,64 +111,51 @@ def _finite(*arrays):
         raise FloatingPointError("non-finite decoder state")
 
 
-def _amp(received, cb, prior, k):
-    """AMP with a scalar effective-noise track.
+def _amp(received, cb, prior, k, predicted=False):
+    """AMP; predicted picks the variance rule that tells scalar_amp from amp.
 
-    Per iteration: r = (C^T z + sqrt(nP) k_hat) / sqrt(nP) is treated as
-    k + N(0, xi) with xi = ||z||^2 / (n nP); the denoised estimate feeds the
-    next residual z = y - sqrt(nP) C k_hat + (m/n) <f'> z_prev, whose last
-    term is the Onsager correction with <f'> the mean denoiser derivative
-    g / xi.  The residual reported is ||y - sqrt(nP) C k_hat||, before the
-    correction; ||z|| itself is sqrt(n nP xi) of the next iteration.
+    Per iteration: r = C^T z / sqrt(nP) + k_hat is treated as k + N(0, xi),
+    the denoiser returns the new k_hat and its variance g, and the next
+    z = (y - sqrt(nP) C k_hat) + c z_prev carries the Onsager term; the
+    residual reported is the part before that term.  The two rules:
+
+      measured  (amp)        -- xi = ||z||^2 / (n nP), c = (m/n) <g> / xi_prev
+                                (Bayati and Montanari, arXiv 1001.3448);
+      predicted (scalar_amp) -- generalized AMP (Rangan, arXiv 1010.5141):
+                                with v = |C|^2 g and sigma2 = 1/(nP),
+                                xi = 1 / ((|C|^2)^T (sigma2 + v)^{-1}) and
+                                the per-row c = v / (sigma2 + v_prev).
+
+    On a Hadamard codebook the |C|^2 products are constant on the kept
+    rows, so the predicted xi is one number and generalized AMP's
+    pseudo-observation is this r; c is zero on the padding rows (n > m).
+    An infinite previous variance makes the first c zero, and xi is
+    clamped into [XI_FLOOR, VAR_CEILING].
     """
     n, m = cb.n, cb.m
     npw = n * received.power
     snp = np.sqrt(npw)
-    z = received.y - snp * apply(cb, k)
-    while True:
-        xi = float(z @ z) / (n * npw)
-        r = adjoint(cb, z) / snp + k
-        xi = max(xi, XI_FLOOR)
-        k, v = posterior_moments(r, xi, prior)
-        onsager = (m / n) * float(np.mean(v)) / xi
-        residual = received.y - snp * apply(cb, k)
-        z = residual + onsager * z
-        _finite(k, z)
-        yield k, xi, np.linalg.norm(residual)
-
-
-def _scalar_amp(received, cb, prior, k):
-    """Generalized AMP, written with per-coordinate variances.
-
-    Works on the rescaled model y' = y/sqrt(nP) = C k + N(0, sigma2 I) with
-    sigma2 = 1/(nP).  Per iteration: output variances v = |C|^2 v_hat,
-    corrected output mean z = C k_hat - v (y' - z_prev)/(sigma2 + v_prev),
-    input variances xi = 1 / ((|C|^2)^T (sigma2 + v)^{-1}), pseudo-
-    observations r = k_hat + xi C^T ((y' - z)/(sigma2 + v)), then moment
-    matching against the count prior.  On a Hadamard codebook sq_apply and
-    sq_adjoint return constant vectors, so v and xi are one number each.
-    """
-    npw = cb.n * received.power
-    snp = np.sqrt(npw)
     sigma2 = 1.0 / npw
-
-    ys = received.y / snp
-    v_soft = np.full(cb.m, prior.var)
-    z, v = ys, 0.0  # ys - z = 0: no first-iteration correction term
-    c_k = apply(cb, k)  # C k_hat, carried over between iterations
+    g, xi, v = np.full(m, prior.var), np.inf, np.inf
+    z = residual = received.y - snp * apply(cb, k)
     while True:
-        v_new = sq_apply(cb, v_soft)
-        z = c_k - v_new * (ys - z) / (sigma2 + v)
-        v = v_new
-        scaled = (ys - z) / (sigma2 + v)
-        with np.errstate(over="ignore"):
-            xi = 1.0 / sq_adjoint(cb, 1.0 / (sigma2 + v))
-        r = k + xi * adjoint(cb, scaled)
+        if predicted:
+            v_prev, v = v, sq_apply(cb, g)
+            c = v / (sigma2 + v_prev)
+        else:
+            c = (m / n) * float(np.mean(g)) / xi
+        z = residual + c * z
+        if predicted:
+            with np.errstate(over="ignore"):
+                xi = 1.0 / sq_adjoint(cb, 1.0 / (sigma2 + v))
+        else:
+            xi = float(z @ z) / (n * npw)
+        r = adjoint(cb, z) / snp + k
         xi = np.clip(xi, XI_FLOOR, VAR_CEILING)
-        k, v_soft = posterior_moments(r, xi, prior)
-        _finite(k, v_soft)
-        c_k = apply(cb, k)
-        yield k, np.mean(xi), np.linalg.norm(received.y - snp * c_k)
+        k, g = posterior_moments(r, xi, prior)
+        _finite(k, g)
+        residual = received.y - snp * apply(cb, k)
+        yield k, np.mean(xi), np.linalg.norm(residual)
 
 
 def _ep_projection(cb, xor, xi1, eta1, lin, sigma2):
@@ -287,7 +272,8 @@ def _ep(received, cb, prior, k):
         yield k, np.mean(xi0), np.linalg.norm(received.y - snp * apply(cb, k))
 
 
-_UPDATES = {"amp": _amp, "scalar_amp": _scalar_amp, "ep": _ep}
+_UPDATES = {"amp": _amp, "scalar_amp": partial(_amp, predicted=True),
+            "ep": _ep}
 ALGORITHMS = tuple(_UPDATES)
 
 

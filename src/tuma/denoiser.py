@@ -36,7 +36,9 @@ from scipy.special import gammaln, logsumexp
 
 from .scenario import ConfigError, _require, _whole
 
-XI_FLOOR = 1e-12  # effective noise variances are clamped below at this
+# The decoders clamp every variance-like quantity into [XI_FLOOR, VAR_CEILING].
+XI_FLOOR = 1e-12
+VAR_CEILING = 1e12
 
 # The largest magnitude whose square over 2 XI_FLOOR is finite.  An
 # observation r is accepted when |r| + ka + 1 is at most this, so every
@@ -217,8 +219,8 @@ def posterior_moments(r, xi, prior):
     holds it alone, so the moments are exactly (end, 0), and the clamp
     keeps (r - k)^2 small enough that neighbouring counts stay apart in
     floating point.  So the moments are exact, to within roundoff, for every
-    accepted r and every xi up to 1e12 (decoders.VAR_CEILING, the top of
-    the decoders' variance range).
+    accepted r and every xi up to VAR_CEILING, the top of the decoders'
+    variance range.
 
     Coordinates go in chunks of _CHUNK, sorted by window length within a
     chunk, and then in blocks of about _BLOCK_CELLS cells laid out as

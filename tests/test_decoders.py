@@ -277,6 +277,17 @@ def test_out_of_range_observation_raises_diverged(algorithm):
     assert report.diverged and report.iterations_run == 1
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_xi_track_stays_in_the_variance_range(algorithm):
+    # an observation far past the prior's reach drives amp's measured
+    # variance ||z||^2 / (n nP) to about 6e16 before the clamp
+    cb, prior, _, _ = make_instance(16, 16, 5, 3, 0.0, seed=63)
+    received = ReceivedSignal(y=np.full(16, 1e9), power=1.0)
+    report = decode(received, cb, prior, DecoderOptions(algorithm=algorithm))
+    assert report.xi_track
+    assert all(XI_FLOOR <= xi <= VAR_CEILING for xi in report.xi_track)
+
+
 @pytest.mark.parametrize("factorization", ["dpotrf", "dpotri"])
 def test_ep_non_positive_definite_projection_raises_diverged(factorization,
                                                              monkeypatch):
@@ -376,7 +387,7 @@ def ep_reference(received, cb, prior, iterations):
     return k
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (4, 4)])
+@pytest.mark.parametrize("n,m", [(2, 4), (4, 4), (8, 4), (64, 32)])
 @pytest.mark.parametrize("iterations", [1, 2])
 def test_amp_iterations_match_dense_reference(n, m, iterations):
     cb, prior, _, received = make_instance(n, m, 3, 2, 0.0, seed=67)
@@ -387,7 +398,7 @@ def test_amp_iterations_match_dense_reference(n, m, iterations):
     assert np.abs(report.k_soft - reference).max() < 1e-10
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (4, 4)])
+@pytest.mark.parametrize("n,m", [(2, 4), (4, 4), (8, 4), (64, 32)])
 @pytest.mark.parametrize("iterations", [1, 2])
 def test_scalar_amp_iterations_match_dense_reference(n, m, iterations):
     cb, prior, _, received = make_instance(n, m, 3, 2, 0.0, seed=71)
