@@ -6,8 +6,10 @@ Command line interface.
     tuma sweep --param ma --values 10 50 100 150 --decoder amp,ep ...
 
 Every flag but --config may also come from a config file of `key = value`
-lines ('#' starts a comment) whose keys are the subcommand's flag names;
-explicit flags override the file, the file overrides built-in defaults.
+lines ('#' starts a comment) whose keys are the subcommand's flag names.
+The file's lines are read as the flags they name, placed before the
+command line's own flags, so argparse types and checks every value and
+the order is built-in defaults < file < flags.
 """
 
 import argparse
@@ -29,7 +31,7 @@ def _number(text):
 
 
 # Each subcommand's flags as {name: add_argument keywords}.  A config file's
-# keys are the same names, and its values are typed by the same `type`.
+# keys are the same names, and its lines are parsed as those flags.
 RUN_FLAGS = {
     "n": dict(type=int, help="codeword length"),
     "ka": dict(type=int, help="number of sensors"),
@@ -56,9 +58,9 @@ FLAGS = {
 }
 
 
-def load_config_file(path):
-    """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
-    values = {}
+def _config_tokens(path, flags):
+    """The flag tokens a config file's `key = value` lines stand for."""
+    tokens = []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -66,34 +68,16 @@ def load_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-def _typed(key, raw, type, nargs=None, **_):
-    """A config-file value typed as its flag types it on the command line."""
-    try:
-        if nargs:
-            return [type(item) for item in raw.replace(",", " ").split()]
-        return type(raw)
-    except ValueError:
-        raise ValueError(f"config key {key}: invalid value {raw!r}") from None
-
-
-def _settings(args):
-    """The subcommand's settings: defaults < config file < flags."""
-    flags = FLAGS[args.command]
-    settings = dict(DEFAULTS)
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
+            key, _, val = (part.strip() for part in line.partition("="))
             key = key.replace("-", "_")
             if key not in flags:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _typed(key, raw, **flags[key])
-    settings.update((key, val) for key, val in vars(args).items()
-                    if key in flags and val is not None)
-    return settings
+            flag = "--" + key.replace("_", "-")
+            if flags[key].get("nargs"):  # `--values=3` would take one value
+                tokens += [flag, *val.replace(",", " ").split()]
+            else:  # one token, so a value such as -12 stays a value
+                tokens.append(f"{flag}={val}")
+    return tokens
 
 
 def _spec(command, settings):
@@ -127,6 +111,7 @@ def _log_row(row):
 
 def main(argv=None):
     """Run the command line; returns the exit status, 2 on a usage error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="tuma",
         description="Type-based unsourced multiple access simulator")
@@ -134,17 +119,24 @@ def main(argv=None):
     for command, about in (("run", "decode one configuration many times"),
                            ("sweep", "sweep one parameter")):
         cmd = sub.add_parser(command, help=about)
-        cmd.add_argument("--config", help="file of key = value lines; "
-                                          "the keys are the flag names")
+        cmd.set_defaults(**DEFAULTS)
+        cmd.add_argument("--config", help="file of key = value lines, read "
+                                          "as the flags the keys name")
         for name, keywords in FLAGS[command].items():
             cmd.add_argument("--" + name.replace("_", "-"), dest=name,
                              **keywords)
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:  # the file's flags, then argv's own
+            try:
+                tokens = _config_tokens(args.config, FLAGS[args.command])
+            except (ValueError, OSError) as err:
+                sub.choices[args.command].error(str(err))
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
     except SystemExit as stop:  # argparse has printed the usage error
         return stop.code
+    settings = {key: val for key, val in vars(args).items() if val is not None}
     try:
-        settings = _settings(args)
         spec = _spec(args.command, settings)
         workers = settings.get("workers")
         if workers is not None:  # run_sweep's check, before the header

@@ -15,6 +15,15 @@ differ in how they track the effective observation and its uncertainty:
                 exact multivariate Gaussian projection of the full likelihood,
                 and moment matching against the count prior.
 
+On a codebook with orthonormal columns (n >= m), C^T y / sqrt(nP) is
+exactly k + N(0, I/(nP)), so one posterior_moments call on it at
+xi = 1/(nP) is the exact marginal posterior.  ep reaches that call (its
+projection is elementwise there).  amp and scalar_amp still run the AMP
+recursion, whose Onsager term was derived for i.i.d. matrices, on this
+orthogonal matrix, and do worse: over 100 scenes at n = m = 32 (ka 10,
+ma 15, 0 dB) the mean TV is 0.0043 for the one call and for ep, 0.0127 for
+amp and 0.0113 for scalar_amp.
+
 Each decoder is a private generator of per-iteration updates (_amp serves
 both AMP variance rules, _ep the third); decode, the one entry point, runs
 them all through one loop.  It reports the soft posterior-mean estimate,

@@ -58,7 +58,7 @@ def wasserstein(mu, nu, p=2.0):
     _require(1.0 <= p < math.inf, "order p must be finite and >= 1")
     dist = cdist(mu.locations, nu.locations)
     with np.errstate(over="ignore"):
-        cost = dist**p if p != 1.0 else dist
+        cost = dist**p
     powered = cost[dist > 0]
     _require(np.all((powered >= np.finfo(float).tiny) & (powered < math.inf)),
              f"order p={p:g} takes a distance's p-th power out of the "

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import tuma.decoders
 from oracles import dense_codebook, dense_ep_projection, noiseless_transmit
 from tuma import (ALGORITHMS, ConfigError, DecoderDiverged, DecoderOptions,
-                  ReceivedSignal, decode, estimated_type, grid_codebook,
-                  hadamard_codebook, multiplicity_prior, posterior_moments,
-                  round_estimate, transmit, trial_rng)
+                  ReceivedSignal, adjoint, decode, estimated_type,
+                  grid_codebook, hadamard_codebook, multiplicity_prior,
+                  posterior_moments, round_estimate, transmit, trial_rng)
 from tuma.decoders import EP_DAMPING, VAR_CEILING
 from tuma.denoiser import XI_FLOOR
 from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
@@ -482,6 +482,29 @@ def test_ep_high_snr_matches_constrained_enumeration():
                                      [(1, 0), (0, 1)])
     assert np.abs(report.k_soft - exact).max() < 1e-2
     assert np.array_equal(report.k_hat, k)
+
+
+@pytest.mark.parametrize("n,m,ka,ma,snr_db", [
+    (16, 16, 5, 3, 0.0), (32, 32, 10, 15, 0.0), (64, 32, 10, 15, -3.0),
+    (500, 64, 100, 10, -27.0), (500, 256, 100, 10, -27.0)])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_ep_is_the_exact_posterior_on_orthonormal_columns(n, m, ka, ma,
+                                                           snr_db,
+                                                           early_stop):
+    # C^T C = I, so C^T y / sqrt(nP) = k + N(0, I/(nP)) is sufficient and
+    # one posterior call at xi = 1/(nP) is the exact marginal posterior
+    options = DecoderOptions(algorithm="ep", early_stop=early_stop)
+    for seed in range(30):
+        cb, prior, _, received = make_instance(n, m, ka, ma, snr_db, seed)
+        npw = n * received.power
+        exact, _ = posterior_moments(adjoint(cb, received.y) / np.sqrt(npw),
+                                     1.0 / npw, prior)
+        k_hat = round_estimate(exact, ka)
+        if k_hat.sum() == 0:  # decode's fallback
+            k_hat[int(np.argmax(exact))] = 1
+        report = decode(received, cb, prior, options)
+        assert np.abs(report.k_soft - exact).max() <= 1e-12
+        assert np.array_equal(report.k_hat, k_hat)
 
 
 # ---------------------------------------------------------------------------

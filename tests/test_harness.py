@@ -448,3 +448,45 @@ def test_cli_values_from_file_match_values_from_flags(tmp_path):
     assert from_file.read_text() == from_flags.read_text()
     assert [row["value"] for row in csv.DictReader(
         from_file.read_text().splitlines())] == ["3", "4"]
+
+
+def test_cli_refuses_an_unknown_param_in_its_config(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_scenes(*args):
+        raise AssertionError("a scene ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_scenes)
+    config = tmp_path / "param.cfg"
+    config.write_text("param = foo\nvalues = 3 4\n")
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--config", str(config), "--n", "16", "--ka",
+                    "3", "--ma", "2", "--trials", "1", "--out", str(out),
+                    "--workers", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_values_from_file_match_flags(tmp_path):
+    common = ["--n", "16", "--ka", "3", "--ma", "2", "--bits", "4",
+              "--trials", "2", "--seed", "9", "--workers", "1"]
+    for command, text, flags in (
+            ("run", "snr_db = -12\n", ["--snr-db", "-12"]),
+            ("sweep", "param = snr_db\nvalues = -3, -1\n",
+             ["--param", "snr_db", "--values", "-3", "-1"])):
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(text)
+        from_file = tmp_path / f"{command}-file.csv"
+        from_flags = tmp_path / f"{command}-flags.csv"
+        assert run_cli([command, "--config", str(config), *common,
+                        "--out", str(from_file)]) == 0
+        assert run_cli([command, *flags, *common,
+                        "--out", str(from_flags)]) == 0
+        assert from_file.read_text() == from_flags.read_text()
+    rows = list(csv.DictReader(from_file.read_text().splitlines()))
+    assert [row["value"] for row in rows] == ["-3", "-1"]
+
+
+def test_cli_refuses_a_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli(["run", "--config", str(missing), "--workers", "1"]) == 2
+    assert "error:" in capsys.readouterr().err

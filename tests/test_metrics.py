@@ -83,6 +83,11 @@ def test_wasserstein_splits_unequal_supports():
     assert abs(dist2 - np.sqrt(0.5)) < 1e-9
     dist1, _ = wasserstein(mu, nu, 1.0)
     assert abs(dist1 - 0.5) < 1e-9
+    # at p = 1 the cost is the distances themselves, bit for bit
+    rng = np.random.default_rng(5)
+    mu, nu = random_measure(rng), random_measure(rng)
+    dist1, plan = wasserstein(mu, nu, 1.0)
+    assert dist1 == float((plan * cdist(mu.locations, nu.locations)).sum())
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
