@@ -14,6 +14,7 @@ the order is built-in defaults < file < flags.
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .scenario import SystemConfig, _whole
@@ -28,6 +29,22 @@ def _number(text):
     """A swept value: an int when it is whole, else a float."""
     value = float(text)
     return int(value) if value.is_integer() else value
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading every token that starts -<digit> or -.<digit> as
+    a value.
+
+    argparse takes a token for a value only when it looks like a negative
+    number, and its own pattern has no exponent, so it would read the
+    -1e1 of `--values -1e1 0` as an unknown option.  No flag starts with
+    a digit, so the wider pattern takes no option away.  Subparsers share
+    the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 # Each subcommand's flags as {name: add_argument keywords}.  A config file's
@@ -112,7 +129,7 @@ def _log_row(row):
 def main(argv=None):
     """Run the command line; returns the exit status, 2 on a usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tuma",
         description="Type-based unsourced multiple access simulator")
     sub = parser.add_subparsers(dest="command", required=True)

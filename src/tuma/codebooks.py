@@ -84,17 +84,50 @@ def fwht(v):
     return _fwht_in_place(np.array(v, dtype=float))
 
 
+# Length of the rows that run constant-geometry stages; a longer transform
+# runs butterfly stages above it.  A row needs a scratch as long as itself,
+# so the cap bounds that at 256 KB, and a longer transform's half-size
+# butterfly scratch always holds a row.
+_CG_ROW = 2**15
+
+
 def _fwht_in_place(a):
     """fwht of a C-contiguous float array, overwriting it; returns it.
 
-    Besides the array itself the only memory is one half-size scratch
-    array shared by every butterfly stage.
+    The transform splits into rows of row = min(size, _CG_ROW) elements.
+    Within rows, groups of as many rows as the scratch holds run log2(row)
+    constant-geometry stages (Good 1958): each reads adjacent pairs and
+    writes y[:h] = x[0::2] + x[1::2], y[h:] = x[0::2] - x[1::2] with
+    h = row / 2, then x and y swap roles, and an odd stage count copies
+    the group back.  Every stage reads two-strided and writes contiguous
+    runs, where a butterfly stage at small h works on runs of h elements.
+    A transform longer than _CG_ROW then runs butterfly stages for
+    h = _CG_ROW .. size / 2 over (..., 2, h) views.  Both kinds combine
+    the same pairs in the same order, bit 0 of the index first, so the
+    result has the same bits as butterfly stages alone.  Besides the array
+    itself the only memory is one scratch of max(a.size / 2, row) elements.
     """
     size = a.shape[-1]
     _require(_is_pow2(size), "transform length must be a power of two")
+    row = min(size, _CG_ROW)
+    scratch = np.empty(max(a.size // 2, row))
+    rows = a.reshape(-1, row)
+    group = scratch.size // row
+    for start in range(0, rows.shape[0], group):
+        x = rows[start:start + group]
+        y = scratch[:x.size].reshape(x.shape)
+        # (even, odd, lower half, upper half) views of each buffer
+        src, dst = ((b[:, 0::2], b[:, 1::2], b[:, :row // 2], b[:, row // 2:])
+                    for b in (x, y))
+        stages = row.bit_length() - 1
+        for _ in range(stages):
+            np.add(src[0], src[1], out=dst[2])
+            np.subtract(src[0], src[1], out=dst[3])
+            src, dst = dst, src
+        if stages % 2:
+            x[...] = y
     rows = a.reshape(-1, size)
-    scratch = np.empty(a.size // 2)
-    h = 1
+    h = row
     while h < size:
         b = rows.reshape(rows.shape[0], -1, 2, h)
         lo, hi = b[:, :, 0, :], b[:, :, 1, :]

@@ -120,13 +120,16 @@ def multiplicity_prior(ka, ma, m):
 # Max-shifted log-weights are floored here before np.exp, and a count
 # whose log-weight provably lies below the floor gets weight exactly 0
 # without being evaluated (see _windows).  Against a largest weight of 1,
-# e^-100 (about 3.7e-44) is far below double resolution (any floor under
-# about -37 is), and each floored or dropped weight moves the mean by at
-# most ka e^-100 and the variance by at most ka^2 e^-100, so all ka + 1
-# of them together move the variance by under 1e-32 for any ka below
-# 3000.  A floor this high also keeps np.exp off subnormal results (below
-# about -708), which take it off its SIMD path.
-_LOG_WEIGHT_FLOOR = -100.0
+# e^-61 (about 3.2e-27) is below double resolution (any floor under about
+# -37 is).  Each floored or dropped weight moves the mean by at most
+# ka e^-61 and the variance by at most ka^2 e^-61, so all ka + 1 of them
+# together move the variance by at most (ka + 1) ka^2 e^-61, under 2^-53
+# for any ka below 3000; -61 is the largest whole floor with that bound.
+# The higher the floor, the shorter the windows: at ka = 100, m = 2**14
+# a call evaluates about 13% of the m (ka + 1) cells.  A floor this high
+# also keeps np.exp off subnormal results (below about -708), which take
+# it off its SIMD path.
+_LOG_WEIGHT_FLOOR = -61.0
 
 # (coordinate, count) cells per block.  Each block's float64 work arrays
 # then take 128 KB apiece and its dozen elementwise passes run in cache.
@@ -224,11 +227,15 @@ def posterior_moments(r, xi, prior):
 
     Coordinates go in chunks of _CHUNK, sorted by window length within a
     chunk, and then in blocks of about _BLOCK_CELLS cells laid out as
-    (window position, coordinate): each column gathers its own counts,
-    so per-coordinate scalars broadcast along contiguous rows, every
-    reduction runs over axis 0 in count order, and a column's cells past
-    its own window are zeroed, which keeps every coordinate's moments
-    independent of the block it falls in.  Besides the two outputs the
+    (window position, coordinate): each column holds its own counts, so
+    per-coordinate scalars broadcast along contiguous rows and every
+    reduction runs over axis 0 in count order.  A block is as tall as its
+    first, widest window; where a later window is shorter, its column's
+    cells past the window are zeroed by a mask, so every coordinate's
+    moments are independent of the block it falls in, and a block whose
+    windows all have one length skips the mask.  On a gap-free support
+    such a block's counts are the sum of each window's lowest count and
+    the window position, not a gather.  Besides the two outputs the
     working memory is O(_CHUNK + _BLOCK_CELLS).
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -241,16 +248,20 @@ def posterior_moments(r, xi, prior):
             "observations must be finite, with |r| + ka + 1 <= R_LIMIT")
     if not (np.all(xi_arr > 0) and np.all(np.isfinite(xi_arr))):
         raise DenoiserInputError("noise variance must be positive and finite")
-    # Doubling is exact, so q / (2 xi) has the same bits as 0.5 q / xi.
+    # Doubling is exact, so q / (2 xi) has the same bits as 0.5 q / xi.  A
+    # scalar xi stays a scalar, so no pass broadcasts it along a row.
     two_xi = np.maximum(xi_arr, XI_FLOOR)
     two_xi *= 2.0
-    two_xi = np.broadcast_to(two_xi, r_arr.shape)
+    per_coordinate = two_xi.ndim == 1
     # reach per unit of 2 xi; capping 2 xi at 2 R_LIMIT keeps reach finite
     # where the clamp could not move an accepted r anyway
     reach_rate = 0.5 * (prior.log_mass.max() - prior.log_mass.min()
                         - _LOG_WEIGHT_FLOOR + 1.0)
     support = prior.support
     n_k, size = support.size, r_arr.size
+    # on a gap-free support the count at window position s is first + s
+    # past the lowest count, so a block's counts are a sum, not a gather
+    gap_free = support[-1] - support[0] == n_k - 1
     steps = np.arange(n_k)[:, None]
     cells = min(max(_BLOCK_CELLS, n_k), n_k * size)
     work = np.empty((3, cells))
@@ -259,7 +270,7 @@ def posterior_moments(r, xi, prior):
     var = np.empty(size)
     for start in range(0, size, _CHUNK):
         chunk = slice(start, min(start + _CHUNK, size))
-        two_xi_k = two_xi[chunk]
+        two_xi_k = two_xi[chunk] if per_coordinate else two_xi
         reach = np.minimum(two_xi_k, 2.0 * R_LIMIT)
         reach *= reach_rate
         reach += 1.0
@@ -270,8 +281,9 @@ def posterior_moments(r, xi, prior):
         # and lets numpy radix-sort 16-bit keys.
         key = np.minimum(length, _BLOCK_CELLS).astype(np.uint16)
         order = np.argsort(key, kind="stable")[::-1]
-        first, length = first[order], length[order]
-        r_c, two_xi_c = r_k[order], two_xi_k[order]
+        first, length, r_c = first[order], length[order], r_k[order]
+        two_xi_c = two_xi_k[order] if per_coordinate else two_xi_k
+        low = first + support[0]  # each window's lowest count
         order += start
         mean_c, var_c = np.empty((2, order.size))
         pos = 0
@@ -280,19 +292,29 @@ def posterior_moments(r, xi, prior):
             blk = slice(pos, min(pos + max(1, _BLOCK_CELLS // rows),
                                  order.size))
             pos = blk.stop
+            # windows shorter than the block's first leave cells past
+            # their ends, which the mask zeroes
+            masked = length[blk.stop - 1] < rows
             n_cells = rows * (blk.stop - blk.start)
             # contiguous (rows, columns) views: see _sum_counts
             w, t, ks = work[:, :n_cells].reshape(3, rows, -1)
             idx = idx_buf[:n_cells].reshape(rows, -1)
             np.add(steps[:rows], first[blk], out=idx)
-            np.take(support, idx, out=ks, mode="clip")
+            # a masked block gathers: past the support's end a sum would
+            # make counts outside it, whose weights could top the column
+            if gap_free and not masked:
+                np.add(steps[:rows], low[blk], out=ks)
+            else:
+                np.take(support, idx, out=ks, mode="clip")
             np.take(prior.log_mass, idx, out=t, mode="clip")
-            _log_weight(r_c[blk], two_xi_c[blk], ks, t, out=w)
+            two_xi_b = two_xi_c[blk] if per_coordinate else two_xi_c
+            _log_weight(r_c[blk], two_xi_b, ks, t, out=w)
             w -= w.max(axis=0)
             np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
             np.exp(w, out=w)
-            np.less(steps[:rows], length[blk], out=t)
-            w *= t  # zero the cells past each column's own window
+            if masked:
+                np.less(steps[:rows], length[blk], out=t)
+                w *= t
             total = _sum_counts(w)
             np.multiply(w, ks, out=t)
             mean_c[blk] = _sum_counts(t) / total

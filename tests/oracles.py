@@ -82,6 +82,26 @@ def reference_wasserstein(mu, nu, p=2.0):
     return float((plan * cost).sum()) ** (1.0 / p), plan
 
 
+def butterfly_fwht(v):
+    """fwht by radix-2 butterfly stages, the reference for tuma.codebooks.fwht.
+
+    Stage h = 1, 2, 4, ... replaces each pair (lo, hi) of entries h apart
+    by (lo + hi, lo - hi) over (..., 2, h) views of the last axis.
+    """
+    a = np.array(v, dtype=float)
+    size = a.shape[-1]
+    rows = a.reshape(-1, size)
+    h = 1
+    while h < size:
+        b = rows.reshape(rows.shape[0], -1, 2, h)
+        lo, hi = b[:, :, 0, :], b[:, :, 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
 def dense_codebook(cb):
     """Materialize a HadamardCodebook as its (n, m) matrix C.
 

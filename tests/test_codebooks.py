@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import hadamard as dense_hadamard
 from scipy.spatial.distance import cdist
 
-from oracles import dense_codebook
+from oracles import butterfly_fwht, dense_codebook
 from tuma import (ConfigError, adjoint, apply, fwht, grid_codebook,
                   hadamard_codebook, quantize, sq_adjoint, sq_apply)
 
@@ -106,6 +106,28 @@ def test_fwht_batches_along_last_axis():
     batch = np.random.default_rng(4).standard_normal((3, 8))
     rows = np.stack([fwht(batch[i]) for i in range(3)])
     assert np.allclose(fwht(batch), rows)
+
+
+@pytest.mark.parametrize("bits", range(1, 19))
+def test_transforms_match_the_butterfly_bit_for_bit(bits):
+    # below and above the constant-geometry row length, 1-D and batched
+    # (five rows fill the scratch unevenly), through every codebook branch
+    m = 2**bits
+    rng = np.random.default_rng(bits)
+    v = rng.standard_normal(m)
+    batch = rng.standard_normal((5, m))
+    assert np.array_equal(fwht(v), butterfly_fwht(v))
+    assert np.array_equal(fwht(batch), butterfly_fwht(batch))
+    for n in (max(1, m // 2), m, m + 3):
+        cb = hadamard_codebook(n, m)
+        kept = len(cb.row_ids)
+        z = rng.standard_normal(n)
+        expected = np.zeros(n)
+        expected[:kept] = (butterfly_fwht(v) * cb.scale)[cb.row_ids]
+        assert np.array_equal(apply(cb, v), expected)
+        spread = np.zeros(m)
+        spread[cb.row_ids] = z[:kept]
+        assert np.array_equal(adjoint(cb, z), butterfly_fwht(spread) * cb.scale)
 
 
 def test_fwht_rejects_bad_lengths():

@@ -332,6 +332,79 @@ def test_posterior_does_not_depend_on_block_boundaries():
         assert np.array_equal(var_pair, var[pair])
 
 
+_UNIFORM = CountPrior(pmf=np.full(41, 1.0 / 41), ka=40)
+
+
+def _one_block(prior, per_coordinate, same_length):
+    """Observations and noise for one block of the denoiser whose windows
+    all have one length (no mask) or differ in length (masked)."""
+    rng = np.random.default_rng(53)
+    r = rng.uniform(-2.0, prior.ka + 2.0, 400)
+    xi = 10.0 ** rng.uniform(-2.0, -0.5, r.size) if per_coordinate else 0.3
+    length = _windows(r, 2.0 * np.maximum(xi, XI_FLOOR), prior)[1]
+    if same_length:
+        values, counts = np.unique(length, return_counts=True)
+        keep = length == values[np.argmax(counts)]
+    else:
+        keep = np.arange(r.size) < 40
+    r, length = r[keep], length[keep]
+    xi = xi[keep] if per_coordinate else xi
+    assert r.size >= 5 and length.max() * r.size <= _BLOCK_CELLS
+    assert (length.min() == length.max()) == same_length
+    return r, xi
+
+
+@pytest.mark.parametrize("same_length", [True, False],
+                         ids=["no-mask", "masked"])
+@pytest.mark.parametrize("per_coordinate", [False, True],
+                         ids=["scalar-xi", "vector-xi"])
+@pytest.mark.parametrize("prior", [
+    _UNIFORM, multiplicity_prior(100, 10, 2**14), _BIMODAL, _GAPPED],
+    ids=["uniform", "bits14", "bimodal", "gapped"])
+def test_both_kinds_of_block_match_the_reference(prior, per_coordinate,
+                                                 same_length):
+    r, xi = _one_block(prior, per_coordinate, same_length)
+    mean, var = posterior_moments(r, xi, prior)
+    mean_ref, var_ref = reference_tilted(r, xi, prior)
+    assert np.max(np.abs(mean - mean_ref) / (1 + np.abs(mean_ref))) <= 1e-12
+    assert np.max(np.abs(var - var_ref) / (1 + np.abs(var_ref))) <= 1e-12
+    # a one-coordinate call is a block of one column, which has no mask
+    one = [posterior_moments(r[i], xi[i] if per_coordinate else xi, prior)
+           for i in range(r.size)]
+    assert one == list(zip(mean, var))
+
+
+@pytest.mark.parametrize("same_length", [True, False],
+                         ids=["no-mask", "masked"])
+@pytest.mark.parametrize("per_coordinate", [False, True],
+                         ids=["scalar-xi", "vector-xi"])
+def test_gap_free_and_gapped_counts_agree(per_coordinate, same_length):
+    # A count 40 behind a gap, with mass too small and too far for any
+    # window here to reach, sends the same windows down the gathering path.
+    gap_free = CountPrior(pmf=np.full(21, 1.0 / 21), ka=20)
+    gapped = CountPrior(pmf=np.r_[gap_free.pmf, np.zeros(19), 1e-300], ka=40)
+    assert gapped.support.size == 22 and gapped.support[-1] == 40
+    r, xi = _one_block(gap_free, per_coordinate, same_length)
+    two_xi = 2.0 * np.maximum(xi, XI_FLOOR)
+    for got, want in zip(_windows(r, two_xi, gapped),
+                         _windows(r, two_xi, gap_free)):
+        assert np.array_equal(got, want)
+    for got, want in zip(posterior_moments(r, xi, gapped),
+                         posterior_moments(r, xi, gap_free)):
+        assert np.array_equal(got, want)
+
+
+def test_floor_meets_its_stated_bound():
+    # all ka + 1 floored or dropped weights move the variance by at most
+    # (ka + 1) ka^2 e^F; under 2^-53 for every ka below 3000, and the
+    # floor is the largest whole number for which that holds
+    def bound(floor):
+        return (3000 + 1) * 3000**2 * math.exp(floor)
+
+    assert _LOG_WEIGHT_FLOOR == int(_LOG_WEIGHT_FLOOR)
+    assert bound(_LOG_WEIGHT_FLOOR) < 2**-53 <= bound(_LOG_WEIGHT_FLOOR + 1)
+
+
 def test_posterior_memory_is_bounded():
     prior = multiplicity_prior(100, 10, 2**18)
     rng = np.random.default_rng(41)

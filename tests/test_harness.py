@@ -486,6 +486,30 @@ def test_cli_negative_values_from_file_match_flags(tmp_path):
     assert [row["value"] for row in rows] == ["-3", "-1"]
 
 
+@pytest.mark.parametrize("via", ["flags", "file"])
+def test_cli_reads_exponent_negatives_as_numbers(tmp_path, via):
+    # argparse's own negative-number pattern has no exponent
+    common = ["--n", "16", "--ka", "3", "--ma", "2", "--bits", "4",
+              "--trials", "2", "--seed", "9", "--workers", "1"]
+    for command, text, flags, plain in (
+            ("run", "snr_db = -1e1\n", ["--snr-db", "-1e1"],
+             ["--snr-db", "-10"]),
+            ("sweep", "param = snr_db\nvalues = -1e1, 0\n",
+             ["--param", "snr_db", "--values", "-1e1", "0"],
+             ["--param", "snr_db", "--values", "-10", "0"])):
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(text)
+        given = ["--config", str(config)] if via == "file" else flags
+        exponent = tmp_path / f"{command}-exponent.csv"
+        written = tmp_path / f"{command}-plain.csv"
+        assert run_cli([command, *given, *common,
+                        "--out", str(exponent)]) == 0
+        assert run_cli([command, *plain, *common, "--out", str(written)]) == 0
+        assert exponent.read_text() == written.read_text()
+    rows = list(csv.DictReader(exponent.read_text().splitlines()))
+    assert [row["value"] for row in rows] == ["-10", "0"]
+
+
 def test_cli_refuses_a_missing_config_file(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert run_cli(["run", "--config", str(missing), "--workers", "1"]) == 2
