@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
@@ -167,13 +166,49 @@ def _amp(received, cb, prior, k, predicted=False):
         yield k, np.mean(xi), np.linalg.norm(residual)
 
 
-def _ep_projection(cb, xor, xi1, eta1, lin, sigma2):
+@dataclass(frozen=True, eq=False)
+class _EPWorkspace:
+    """Per-decode tables and scratch buffer of the structured EP projection.
+
+    xor    -- the n x n table of r_a XOR r_b over the kept Sylvester rows
+    xor_lo -- its lower triangle (a >= b) in C order, as np.tril_indices
+    pos_lo -- the flat position b n + a of entry (a, b) of the Fortran view
+              buf.T, in the same order as xor_lo
+    buf    -- n x n float64 buffer that S, its Cholesky factor and S^{-1}
+              take turns in
+    """
+
+    xor: np.ndarray
+    xor_lo: np.ndarray
+    pos_lo: np.ndarray
+    buf: np.ndarray
+
+
+def _ep_workspace(cb):
+    """Build _ep_projection's workspace for cb; None when it is elementwise."""
+    if cb.orthonormal_columns:
+        return None
+    n = cb.n
+    xor = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
+    rows, cols = np.tril_indices(n)
+    return _EPWorkspace(xor=xor, xor_lo=xor[rows, cols],
+                        pos_lo=cols * n + rows, buf=np.empty((n, n)))
+
+
+def _positive_definite(info):
+    """Raise numpy.linalg.LinAlgError unless a LAPACK potrf/potri succeeded."""
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"EP projection matrix is not positive definite (info={info})")
+
+
+def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
     """Marginal variances/means of N(mu1, Xi1) x N(y'; C k, sigma2 I).
 
     lin is the likelihood's linear natural parameter C^T y' / sigma2.  When
     the columns of C are exactly orthonormal (n >= m) the posterior
-    covariance is diagonal and everything is elementwise.  Otherwise the
-    Woodbury identity
+    covariance is diagonal and everything is elementwise (work is None).
+    Otherwise the Woodbury identity
     (Xi1^{-1} + C^T C / sigma2)^{-1}
         = Xi1 - Xi1 C^T S^{-1} C Xi1,   S = sigma2 I + C Xi1 C^T,
     moves the work to the n side, and C is never materialized: with
@@ -183,38 +218,55 @@ def _ep_projection(cb, xor, xi1, eta1, lin, sigma2):
         c_i^T S^{-1} c_i  = scale^2 fwht(g)[i],
         g                 = bincount(r_a XOR r_b, weights=S^{-1}[a, b]),
 
-    so S is one FWHT plus a gather through xor (the n x n table of
-    r_a XOR r_b, built once per decode) and the variance diagonal is one
-    more FWHT.  The mean is w - xi1 C^T S^{-1} C w with w = xi1 (eta1 + lin).
-    S^{-1} comes from LAPACK potri on the Cholesky factor.  Each call costs
-    O(n^3 + m log m) time and O(n^2 + m) memory.  A factorization that
-    finds S not positive definite raises numpy.linalg.LinAlgError.
+    so S is one FWHT plus a gather through work.xor and the variance
+    diagonal is one more FWHT.  The mean is w - xi1 C^T S^{-1} C w with
+    w = xi1 (eta1 + lin).
+
+    The n x n work runs in work.buf, built once per decode by _ep_workspace,
+    and allocates no n x n array:
+      1. S is gathered into buf by np.take with mode="clip" (the default
+         "raise" mode stages the output in a hidden n x n copy; every index
+         is in range, so clipping changes nothing);
+      2. LAPACK potrf factors buf.T in place; buf.T is Fortran-contiguous,
+         so nothing is copied, and S is symmetric, so it is the same matrix;
+      3. potrs solves for the mean on that factor, before
+      4. potri overwrites the factor with the lower triangle of S^{-1};
+      5. g sums only that lower triangle, read through work.pos_lo in the
+         (row, column) order of a C-order ravel of S^{-1}.  The upper
+         triangle potri leaves behind is never read.
+    Each call costs O(n^3 + m log m) time; beyond the workspace it
+    allocates the n(n+1)/2 lower-triangle weights and O(m) for the
+    transforms.  A factorization that finds S not positive definite raises
+    numpy.linalg.LinAlgError.
     """
-    if cb.orthonormal_columns:
+    if work is None:
         xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
         mu0_hat = xi0_hat * (eta1 + lin)
         return xi0_hat, mu0_hat
+    n, buf = cb.n, work.buf
     scale2 = cb.scale**2
-    s_mat = (scale2 * fwht(xi1))[xor]
-    s_mat[np.diag_indices_from(s_mat)] += sigma2
-    chol, info = dpotrf(s_mat, lower=1)
-    if info == 0:
-        s_inv, info = dpotri(chol, lower=1)  # lower triangle only
+    np.take(scale2 * fwht(xi1), work.xor, out=buf, mode="clip")
+    buf.reshape(-1)[:: n + 1] += sigma2
+    chol, info = dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+    _positive_definite(info)
+    mu0_hat = xi1 * (eta1 + lin)  # w
+    solved, info = dpotrs(chol, apply(cb, mu0_hat), lower=1, overwrite_b=1)
     if info != 0:
-        raise np.linalg.LinAlgError(
-            f"EP projection matrix is not positive definite (info={info})")
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    _, info = dpotri(chol, lower=1, overwrite_c=1)  # lower triangle only
+    _positive_definite(info)
     # xor and S^{-1} are symmetric and xor's diagonal is 0, so g is twice
     # the lower triangle's weighted count less the trace at g[0], and
     # fwht(e_0) is all ones.  Arithmetic on m-vectors is in place because
     # at large m each temporary costs O(m) memory.
-    xi0_hat = fwht(np.bincount(xor.ravel(), weights=s_inv.ravel(),
+    xi0_hat = fwht(np.bincount(work.xor_lo,
+                               weights=buf.reshape(-1)[work.pos_lo],
                                minlength=cb.m))
     xi0_hat *= -2.0 * scale2
-    xi0_hat += scale2 * np.trace(s_inv)
+    xi0_hat += scale2 * np.trace(buf)
     xi0_hat *= xi1**2
     xi0_hat += xi1
-    mu0_hat = xi1 * (eta1 + lin)  # w
-    correction = adjoint(cb, cho_solve((chol, True), apply(cb, mu0_hat)))
+    correction = adjoint(cb, solved)
     correction *= xi1
     mu0_hat -= correction
     return xi0_hat, mu0_hat
@@ -249,15 +301,14 @@ def _ep(received, cb, prior, k):
     lo, hi, damp = XI_FLOOR, VAR_CEILING, EP_DAMPING
 
     lin = snp * adjoint(cb, received.y)  # C^T y' / sigma2 = sqrt(nP) C^T y
-    xor = (None if cb.orthonormal_columns
-           else np.bitwise_xor.outer(cb.row_ids, cb.row_ids))
+    work = _ep_workspace(cb)
     var0 = np.clip(prior.var, lo, hi)
     lam1 = np.full(cb.m, 1.0 / var0)
     eta1 = k / var0
     while True:
         # Gaussian projection of sites x likelihood
         xi1 = np.clip(1.0 / lam1, lo, hi)
-        xi0_hat, mu0_hat = _ep_projection(cb, xor, xi1, eta1, lin, sigma2)
+        xi0_hat, mu0_hat = _ep_projection(cb, work, xi1, eta1, lin, sigma2)
         _finite(xi0_hat, mu0_hat)
         xi0_hat = np.clip(xi0_hat, lo, hi)
         # cavity update: remove each site from its marginal

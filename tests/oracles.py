@@ -10,11 +10,12 @@ import math
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from tuma.channel import ReceivedSignal, snr_from_db
-from tuma.codebooks import apply, fwht
+from tuma.codebooks import adjoint, apply, fwht
 from tuma.denoiser import XI_FLOOR, posterior_moments
 from tuma.scenario import _require
 
@@ -135,6 +136,44 @@ def dense_ep_projection(cb, xi1, eta1, lin, sigma2):
     w = xi1 * (eta1 + lin)
     u = cho_solve((chol, True), dense @ w)
     mu0_hat = w - xi1 * (dense.T @ u)
+    return xi0_hat, mu0_hat
+
+
+def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
+    """EP's structured projection with every copy the library avoids.
+
+    The bit-identity reference for tuma.decoders._ep_projection, which it
+    takes the same arguments as (only work.xor is read).  S is gathered by
+    fancy indexing into a fresh array, LAPACK potrf and potri each copy
+    their input, S^{-1} is raveled whole (its upper triangle is potrf's
+    cleaned zeros), and the mean goes through scipy's cho_solve after potri.
+    Each floating-point operation is the one the library does, in the same
+    order, so the outputs must be equal, not merely close.
+    """
+    if cb.orthonormal_columns:
+        xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
+        mu0_hat = xi0_hat * (eta1 + lin)
+        return xi0_hat, mu0_hat
+    xor = work.xor
+    scale2 = cb.scale**2
+    s_mat = (scale2 * fwht(xi1))[xor]
+    s_mat[np.diag_indices_from(s_mat)] += sigma2
+    chol, info = dpotrf(s_mat, lower=1)
+    if info == 0:
+        s_inv, info = dpotri(chol, lower=1)  # lower triangle only
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"EP projection matrix is not positive definite (info={info})")
+    xi0_hat = fwht(np.bincount(xor.ravel(), weights=s_inv.ravel(),
+                               minlength=cb.m))
+    xi0_hat *= -2.0 * scale2
+    xi0_hat += scale2 * np.trace(s_inv)
+    xi0_hat *= xi1**2
+    xi0_hat += xi1
+    mu0_hat = xi1 * (eta1 + lin)  # w
+    correction = adjoint(cb, cho_solve((chol, True), apply(cb, mu0_hat)))
+    correction *= xi1
+    mu0_hat -= correction
     return xi0_hat, mu0_hat
 
 

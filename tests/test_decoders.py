@@ -14,7 +14,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import tuma.decoders
-from oracles import dense_codebook, dense_ep_projection, noiseless_transmit
+from oracles import (copying_ep_projection, dense_codebook,
+                     dense_ep_projection, noiseless_transmit)
 from tuma import (ALGORITHMS, ConfigError, DecoderDiverged, DecoderOptions,
                   ReceivedSignal, adjoint, decode, estimated_type,
                   grid_codebook, hadamard_codebook, multiplicity_prior,
@@ -300,9 +301,9 @@ def test_ep_non_positive_definite_projection_raises_diverged(factorization,
     real = getattr(tuma.decoders, factorization)
     calls = []
 
-    def fails_second_time(mat, lower=0):
+    def fails_second_time(mat, **kwargs):
         calls.append(1)
-        out, info = real(mat, lower=lower)
+        out, info = real(mat, **kwargs)
         return out, (info if len(calls) == 1 else 7)
 
     monkeypatch.setattr(tuma.decoders, factorization, fails_second_time)
@@ -511,10 +512,6 @@ def test_ep_is_the_exact_posterior_on_orthonormal_columns(n, m, ka, ma,
 # structured EP projection against the dense Woodbury oracle
 
 
-def xor_table(cb):
-    return np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
-
-
 def projection_error_scale(cb, xi1, w, sigma2):
     """Per-coordinate forward-error scale of the Woodbury projection.
 
@@ -566,8 +563,8 @@ def test_ep_projection_matches_dense_oracle(geometry, exponents, sigma2_db,
         xi_ref, mu_ref = dense_ep_projection(cb, xi1, eta1, lin, sigma2)
     except np.linalg.LinAlgError:
         reject()  # the oracle itself cannot factor S
-    xi_fast, mu_fast = tuma.decoders._ep_projection(cb, xor_table(cb), xi1,
-                                                    eta1, lin, sigma2)
+    xi_fast, mu_fast = tuma.decoders._ep_projection(
+        cb, tuma.decoders._ep_workspace(cb), xi1, eta1, lin, sigma2)
     var_scale, mean_scale = projection_error_scale(cb, xi1,
                                                    xi1 * (eta1 + lin), sigma2)
     assert np.all(np.abs(xi_fast - xi_ref)
@@ -585,9 +582,96 @@ def test_ep_projection_memory_is_bounded_at_largest_size():
     lin = rng.normal(0.0, 10.0, m)
     tracemalloc.start()
     try:
-        tuma.decoders._ep_projection(cb, xor_table(cb), xi1, eta1, lin, 0.05)
+        tuma.decoders._ep_projection(cb, tuma.decoders._ep_workspace(cb), xi1,
+                                     eta1, lin, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # one dense n x m float64 array alone would take 524 MB
     assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the in-place projection against the copying one it replaced
+#
+# EP amplifies a roundoff-level change in the projection about tenfold per
+# iteration, so no tolerance could tell a reordered sum from a wrong one:
+# the in-place path does the copying path's floating-point operations in
+# the same order, and these tests hold it to equality.
+
+
+@given(geometry=truncated_geometries(),
+       exponents=st.tuples(st.floats(-12, 12), st.floats(-12, 12)),
+       sigma2_db=st.floats(-30, 30), seed=st.integers(0, 2**32 - 1))
+@example(geometry=(250, 1024), exponents=(-1.0, 1.0), sigma2_db=-12.0,
+         seed=0)
+@settings(max_examples=200)
+def test_ep_projection_is_bit_identical_to_copying_projection(
+        geometry, exponents, sigma2_db, seed):
+    n, m = geometry
+    cb = hadamard_codebook(n, m)
+    work = tuma.decoders._ep_workspace(cb)
+    rng = np.random.default_rng(seed)
+    xi1 = 10.0 ** rng.uniform(min(exponents), max(exponents), m)
+    sigma2 = 10.0 ** (sigma2_db / 10)
+    eta1 = rng.normal(0.0, 3.0, m) / xi1
+    lin = rng.normal(0.0, 3.0, m) / sigma2
+    try:
+        expected = copying_ep_projection(cb, work, xi1, eta1, lin, sigma2)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            tuma.decoders._ep_projection(cb, work, xi1, eta1, lin, sigma2)
+        return
+    got = tuma.decoders._ep_projection(cb, work, xi1, eta1, lin, sigma2)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("n,m,ka,ma,snr_db", [(12, 32, 5, 3, 0.0),
+                                              (60, 256, 20, 10, -6.0),
+                                              (250, 1024, 50, 150, -12.0)])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_ep_decode_is_bit_identical_to_copying_projection(
+        n, m, ka, ma, snr_db, early_stop, monkeypatch):
+    options = DecoderOptions(algorithm="ep", early_stop=early_stop)
+    scenes = [make_instance(n, m, ka, ma, snr_db, seed) for seed in (5, 6)]
+    reports = [decode(received, cb, prior, options)
+               for cb, prior, _, received in scenes]
+    monkeypatch.setattr(tuma.decoders, "_ep_projection",
+                        copying_ep_projection)
+    for (cb, prior, _, received), report in zip(scenes, reports):
+        expected = decode(received, cb, prior, options)
+        assert report.iterations_run == expected.iterations_run
+        assert np.array_equal(report.k_soft, expected.k_soft)
+        assert report.xi_track == expected.xi_track
+        assert report.residual_track == expected.residual_track
+
+
+def test_ep_projection_allocates_no_square_matrix():
+    # the copying projection peaks at about four n x n float64 arrays
+    n, m = 250, 1024
+    cb = hadamard_codebook(n, m)
+    work = tuma.decoders._ep_workspace(cb)
+    rng = np.random.default_rng(101)
+    xi1 = rng.uniform(0.1, 2.0, m)
+    eta1 = rng.normal(0.0, 1.0, m)
+    lin = rng.normal(0.0, 10.0, m)
+    tracemalloc.start()
+    try:
+        tuma.decoders._ep_projection(cb, work, xi1, eta1, lin, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8
+
+
+def test_ep_decode_does_not_carry_state_between_decodes():
+    options = DecoderOptions(algorithm="ep", early_stop=False)
+    cb, prior_a, _, received_a = make_instance(60, 256, 20, 10, -6.0, 11)
+    _, prior_b, _, received_b = make_instance(60, 256, 20, 10, -6.0, 12)
+    first = decode(received_a, cb, prior_a, options)
+    decode(received_b, cb, prior_b, options)
+    again = decode(received_a, cb, prior_a, options)
+    assert np.array_equal(first.k_soft, again.k_soft)
+    assert first.xi_track == again.xi_track
+    assert first.residual_track == again.residual_track
