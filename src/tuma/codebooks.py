@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ConfigError, _require, _is_pow2, _whole
+from .scenario import _require, _is_pow2, _whole
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ exactly k + N(0, I/(nP)), so one posterior_moments call on it at
 xi = 1/(nP) is the exact marginal posterior.  ep reaches that call (its
 projection is elementwise there).  amp and scalar_amp still run the AMP
 recursion, whose Onsager term was derived for i.i.d. matrices, on this
-orthogonal matrix, and do worse: over 100 scenes at n = m = 32 (ka 10,
-ma 15, 0 dB) the mean TV is 0.0043 for the one call and for ep, 0.0127 for
-amp and 0.0113 for scalar_amp.
+orthogonal matrix, and do worse (README.md gives the measured TV).
 
 Each decoder is a private generator of per-iteration updates (_amp serves
 both AMP variance rules, _ep the third); decode, the one entry point, runs
@@ -135,8 +133,12 @@ def _amp(received, cb, prior, k, predicted=False):
                                 the per-row c = v / (sigma2 + v_prev).
 
     On a Hadamard codebook the |C|^2 products are constant on the kept
-    rows, so the predicted xi is one number and generalized AMP's
-    pseudo-observation is this r; c is zero on the padding rows (n > m).
+    rows, so generalized AMP's pseudo-observation is this r and every entry
+    of the predicted xi has the same value; c is zero on the padding rows
+    (n > m).  xi is still formed as an m-vector of that value, so
+    posterior_moments takes its per-coordinate path (a scalar xi gives the
+    same moments bit for bit); ROADMAP item 2 replaces the squared
+    transforms with the closed form.
     An infinite previous variance makes the first c zero, and xi is
     clamped into [XI_FLOOR, VAR_CEILING].
     """

@@ -7,13 +7,20 @@ per criterion (criteria whose test crashed before recording show NOT RUN).
 Property tests run under a derandomized hypothesis profile with no example
 database, so every run draws the same examples and tier-1 stays
 deterministic.
+
+This process runs its BLAS on one thread, as the suite's pool workers do:
+EP's LAPACK calls gain little from threads here and slow down several-fold
+when another process holds a CPU.
 """
 
 from hypothesis import settings
 
+from tuma.harness import _one_blas_thread
+
 settings.register_profile("tier1", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("tier1")
+_one_blas_thread()
 
 _EXPECTED_CRITERIA = range(1, 9)
 _CRITERIA = {}

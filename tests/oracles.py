@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy import sparse
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -17,7 +18,7 @@ from scipy.spatial.distance import cdist
 from tuma.channel import ReceivedSignal, snr_from_db
 from tuma.codebooks import adjoint, apply, fwht
 from tuma.denoiser import XI_FLOOR, posterior_moments
-from tuma.scenario import _require
+from tuma.scenario import DiscreteMeasure, _require
 
 
 def transport_vertex_oracle(a, b, cost):
@@ -143,10 +144,12 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
     """EP's structured projection with every copy the library avoids.
 
     The bit-identity reference for tuma.decoders._ep_projection, which it
-    takes the same arguments as (only work.xor is read).  S is gathered by
-    fancy indexing into a fresh array, LAPACK potrf and potri each copy
-    their input, S^{-1} is raveled whole (its upper triangle is potrf's
-    cleaned zeros), and the mean goes through scipy's cho_solve after potri.
+    takes the same arguments as; work is ignored and the r_a XOR r_b table
+    is rebuilt from cb.row_ids, so a wrong table in the library's workspace
+    cannot sit on both sides.  S is gathered by fancy indexing into a fresh
+    array, LAPACK potrf and potri each copy their input, S^{-1} is raveled
+    whole (its upper triangle is potrf's cleaned zeros), and the mean goes
+    through scipy's cho_solve after potri.
     Each floating-point operation is the one the library does, in the same
     order, so the outputs must be equal, not merely close.
     """
@@ -154,7 +157,7 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
         xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
         mu0_hat = xi0_hat * (eta1 + lin)
         return xi0_hat, mu0_hat
-    xor = work.xor
+    xor = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
     scale2 = cb.scale**2
     s_mat = (scale2 * fwht(xi1))[xor]
     s_mat[np.diag_indices_from(s_mat)] += sigma2
@@ -202,6 +205,47 @@ def reference_tilted(r, xi, prior):
     dev = ks[None, :] - mean[:, None]
     var = np.einsum("ij,ij->i", w, dev * dev)
     return mean, var
+
+
+def mp_posterior(r, xi, prior, dps):
+    """Tilted mean and variance over the support, as mpf at dps digits."""
+    with mp.workdps(dps):
+        r, two_xi = mpf(r), 2 * mpf(xi)
+        counts = [k for k in range(prior.ka + 1) if prior.pmf[k] > 0]
+        logs = [mp.log(mpf(prior.pmf[k])) - (r - k) ** 2 / two_xi
+                for k in counts]
+        top = max(logs)
+        w = [mp.exp(log - top) for log in logs]
+        total = mp.fsum(w)
+        mean = mp.fsum(wk * k for wk, k in zip(w, counts)) / total
+        var = mp.fsum(wk * (k - mean) ** 2 for wk, k in zip(w, counts)) / total
+        return mean, var
+
+
+def exhaustive_posterior_mean(received, cb, prior, support):
+    """Exact posterior mean of k over an explicit list of count vectors.
+
+    Every vector in support is weighted by its Gaussian likelihood under
+    y = sqrt(nP) C k + N(0, I) (C materialized) times its product prior.
+    """
+    dense = dense_codebook(cb)
+    snp = np.sqrt(cb.n * received.power)
+    vectors = np.array(list(support), dtype=float)
+    residuals = received.y[None, :] - snp * (vectors @ dense.T)
+    log_like = -0.5 * np.einsum("ij,ij->i", residuals, residuals)
+    with np.errstate(divide="ignore"):  # zero prior mass is a valid -inf
+        log_prior = np.log(prior.pmf)[vectors.astype(int)].sum(axis=1)
+    log_w = log_like + log_prior
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    return w @ vectors
+
+
+def random_measure(rng, max_atoms=4):
+    """A measure of 1 to max_atoms atoms, counts 1..5, in the unit square."""
+    size = int(rng.integers(1, max_atoms + 1))
+    counts = rng.integers(1, 6, size=size)
+    return DiscreteMeasure(counts, rng.random((size, 2)))
 
 
 def noiseless_transmit(cb, k, snr_db):

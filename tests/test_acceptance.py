@@ -23,10 +23,8 @@ Criteria:
 
 import itertools
 import math
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from unittest import mock
 
 import numpy as np
 from mpmath import mp, mpf
@@ -34,9 +32,11 @@ from scipy.linalg import hadamard as dense_hadamard
 from scipy.spatial.distance import cdist
 
 from conftest import record_criterion
-from oracles import (dense_codebook, noiseless_transmit, posterior_mean_deriv,
+import tuma.harness as harness
+from oracles import (dense_codebook, exhaustive_posterior_mean, mp_posterior,
+                     noiseless_transmit, posterior_mean_deriv, random_measure,
                      transport_vertex_oracle)
-from tuma import (DecoderOptions, DiscreteMeasure, SweepSpec, SystemConfig,
+from tuma import (DecoderOptions, SweepSpec, SystemConfig,
                   decode, fwht, grid_codebook, hadamard_codebook,
                   multiplicity_prior, posterior_moments, run_sweep, run_trial,
                   total_variation, transmit, trial_rng, wasserstein)
@@ -46,14 +46,6 @@ from tuma.scenario import assign_sensors, draw_targets, true_multiplicity
 # Criteria 1 and 2 run their scenes on a pool; results do not depend on the
 # worker count (tests/test_harness.py checks pooled against serial rows).
 WORKERS = min(2, os.cpu_count() or 1)
-# Forked workers keep the parent's BLAS thread count, and two processes that
-# each run a multi-threaded OpenBLAS oversubscribe the CPUs: EP's LAPACK
-# calls then take about four times as long as serially.  BLAS reads its
-# thread count when it loads, so criterion 1 spawns its workers with these
-# variables set to 1.
-SINGLE_THREADED_BLAS = dict.fromkeys(
-    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-     "VECLIB_MAXIMUM_THREADS"), "1")
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +61,8 @@ def paired_gap(tv_a, tv_b):
 def tv_per_trial(config):
     decoders = ("amp", "ep", "scalar_amp")
     trials = config.trials
-    spawn = multiprocessing.get_context("spawn")
-    with (mock.patch.dict(os.environ, SINGLE_THREADED_BLAS),
-          ProcessPoolExecutor(WORKERS, mp_context=spawn) as pool):
+    with ProcessPoolExecutor(WORKERS,
+                             initializer=harness._one_blas_thread) as pool:
         scenes = list(pool.map(run_trial, [config] * trials,
                                [decoders] * trials, range(trials)))
     return {decoder: np.array([results[i].tv for results in scenes])
@@ -182,17 +173,6 @@ def test_criterion_3_noiseless_exact_recovery():
 # criterion 4: scalar posterior against a 50-digit reference
 
 
-def mp_tilted(r, xi, pmf):
-    """Tilted mean and variance at 50 significant digits."""
-    r_mp, xi_mp = mpf(r), mpf(xi)
-    terms = [(k, mpf(p) * mp.e ** (-(r_mp - k) ** 2 / (2 * xi_mp)))
-             for k, p in enumerate(pmf)]
-    total = mp.fsum(t for _, t in terms)
-    mean = mp.fsum(k * t for k, t in terms) / total
-    var = mp.fsum((k - mean) ** 2 * t for k, t in terms) / total
-    return mean, var
-
-
 def test_criterion_4_denoiser_precision():
     cases = [((5, 3, 8), 300), ((20, 30, 64), 300), ((50, 150, 1024), 400)]
     rng = np.random.default_rng(44)
@@ -205,15 +185,15 @@ def test_criterion_4_denoiser_precision():
             mean, var = posterior_moments(r, xi, prior)
             deriv = posterior_mean_deriv(r, xi, prior)
             for i in range(count):
-                ref_mean, ref_var = mp_tilted(r[i], xi[i], prior.pmf)
+                ref_mean, ref_var = mp_posterior(r[i], xi[i], prior, 50)
                 err_m = abs(mean[i] - float(ref_mean)) / (1.0 + abs(float(ref_mean)))
                 err_v = abs(var[i] - float(ref_var)) / (1.0 + abs(float(ref_var)))
                 worst_mean = max(worst_mean, err_m)
                 worst_var = max(worst_var, err_v)
                 if i % 5 == 0:
                     h = mpf(10) ** -20
-                    up, _ = mp_tilted(mpf(r[i]) + h, xi[i], prior.pmf)
-                    down, _ = mp_tilted(mpf(r[i]) - h, xi[i], prior.pmf)
+                    up, _ = mp_posterior(mpf(r[i]) + h, xi[i], prior, 50)
+                    down, _ = mp_posterior(mpf(r[i]) - h, xi[i], prior, 50)
                     fd = float((up - down) / (2 * h))
                     err_d = abs(deriv[i] - fd) / (1.0 + abs(fd))
                     worst_deriv = max(worst_deriv, err_d)
@@ -257,12 +237,6 @@ def test_criterion_5_prior_matches_generative_draws():
 
 # ---------------------------------------------------------------------------
 # criterion 6: transport distance against vertex enumeration
-
-
-def random_measure(rng, max_atoms=4):
-    size = int(rng.integers(1, max_atoms + 1))
-    counts = rng.integers(1, 6, size=size)
-    return DiscreteMeasure(counts, rng.random((size, 2)))
 
 
 def test_criterion_6_wasserstein_exactness():
@@ -336,20 +310,6 @@ def test_criterion_7_transform_correctness():
 # criterion 8: moment matching against exhaustive enumeration
 
 
-def exhaustive_posterior_mean(received, dense, pmf, ka, m):
-    snp = np.sqrt(dense.shape[0] * received.power)
-    vectors = np.array(list(itertools.product(range(ka + 1), repeat=m)),
-                       dtype=float)
-    residuals = received.y[None, :] - snp * (vectors @ dense.T)
-    log_like = -0.5 * np.einsum("ij,ij->i", residuals, residuals)
-    with np.errstate(divide="ignore"):  # zero prior mass is a valid -inf
-        log_prior = np.log(pmf)[vectors.astype(int)].sum(axis=1)
-    log_w = log_like + log_prior
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
-    return w @ vectors
-
-
 def test_criterion_8_ep_exactness_on_orthogonal_systems():
     worst = 0.0
     instance = 0
@@ -371,7 +331,8 @@ def test_criterion_8_ep_exactness_on_orthogonal_systems():
                                         DecoderOptions(algorithm="ep",
                                                        max_iters=50))
                         exact = exhaustive_posterior_mean(
-                            received, dense_codebook(cb), prior.pmf, ka, m)
+                            received, cb, prior,
+                            itertools.product(range(ka + 1), repeat=m))
                         worst = max(worst,
                                     float(np.abs(report.k_soft - exact).max()))
     passed = worst <= 1e-2

@@ -6,6 +6,7 @@ wiring, the scaling between the channel and the rescaled model, or the
 correction terms shows up as a mismatch.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import tuma.decoders
 from oracles import (copying_ep_projection, dense_codebook,
-                     dense_ep_projection, noiseless_transmit)
+                     dense_ep_projection, exhaustive_posterior_mean,
+                     noiseless_transmit)
 from tuma import (ALGORITHMS, ConfigError, DecoderDiverged, DecoderOptions,
                   ReceivedSignal, adjoint, decode, estimated_type,
                   grid_codebook, hadamard_codebook, multiplicity_prior,
@@ -434,33 +436,12 @@ def test_ep_iterations_match_dense_reference(n, m, ka, ma, snr_db,
 # moment matching against exhaustive posteriors
 
 
-def enumerate_posterior_mean(received, dense, prior, support):
-    """Exact posterior mean over an explicit list of count vectors."""
-    snp = np.sqrt(dense.shape[0] * received.power)
-    log_weights = []
-    for vector in support:
-        arr = np.asarray(vector, dtype=float)
-        residual = received.y - snp * (dense @ arr)
-        log_prior = sum(np.log(prior.pmf[int(c)]) for c in vector)
-        log_weights.append(-0.5 * float(residual @ residual) + log_prior)
-    log_weights = np.array(log_weights)
-    weights = np.exp(log_weights - log_weights.max())
-    weights /= weights.sum()
-    return sum(w * np.asarray(v, dtype=float)
-               for w, v in zip(weights, support))
-
-
-def product_support(ka, m):
-    import itertools
-    return list(itertools.product(range(ka + 1), repeat=m))
-
-
 def test_ep_matches_exhaustive_posterior_two_messages():
     cb, prior, _, received = make_instance(2, 2, 1, 1, 0.0, seed=73)
     report = decode(received, cb, prior,
                     DecoderOptions(algorithm="ep", max_iters=50))
-    exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
-                                     product_support(1, 2))
+    exact = exhaustive_posterior_mean(received, cb, prior,
+                                      itertools.product(range(2), repeat=2))
     assert np.abs(report.k_soft - exact).max() < 1e-6
 
 
@@ -468,8 +449,8 @@ def test_ep_matches_exhaustive_posterior_four_messages():
     cb, prior, _, received = make_instance(4, 4, 3, 2, 0.0, seed=79)
     report = decode(received, cb, prior,
                     DecoderOptions(algorithm="ep", max_iters=50))
-    exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
-                                     product_support(3, 4))
+    exact = exhaustive_posterior_mean(received, cb, prior,
+                                      itertools.product(range(4), repeat=4))
     assert np.abs(report.k_soft - exact).max() < 1e-6
 
 
@@ -479,8 +460,7 @@ def test_ep_high_snr_matches_constrained_enumeration():
     cb, prior, k, received = make_instance(2, 2, 1, 1, 12.0, seed=83)
     report = decode(received, cb, prior,
                     DecoderOptions(algorithm="ep", max_iters=50))
-    exact = enumerate_posterior_mean(received, dense_codebook(cb), prior,
-                                     [(1, 0), (0, 1)])
+    exact = exhaustive_posterior_mean(received, cb, prior, [(1, 0), (0, 1)])
     assert np.abs(report.k_soft - exact).max() < 1e-2
     assert np.array_equal(report.k_hat, k)
 

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
 
-from oracles import posterior_mean_deriv, reference_tilted
+from oracles import mp_posterior, posterior_mean_deriv, reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior,
                   posterior_moments)
 from tuma.decoders import VAR_CEILING
@@ -464,21 +463,6 @@ def test_refusals_are_config_and_floating_point_errors(r, xi):
     assert isinstance(excinfo.value, FloatingPointError)
 
 
-def mp_posterior(r, xi, prior):
-    """Tilted mean and variance over the pmf's support, in 400 digits."""
-    with mp.workdps(400):
-        r, two_xi = mpf(r), 2 * mpf(xi)
-        counts = [k for k in range(prior.ka + 1) if prior.pmf[k] > 0]
-        logs = [mp.log(mpf(prior.pmf[k])) - (r - k) ** 2 / two_xi
-                for k in counts]
-        top = max(logs)
-        w = [mp.exp(log - top) for log in logs]
-        total = mp.fsum(w)
-        mean = mp.fsum(wk * k for wk, k in zip(w, counts)) / total
-        var = mp.fsum(wk * (k - mean) ** 2 for wk, k in zip(w, counts)) / total
-        return float(mean), float(var)
-
-
 @pytest.mark.parametrize("ka,ma,m", [(5, 3, 8), (50, 150, 1024)])
 @pytest.mark.parametrize("xi", [XI_FLOOR, 1.0, VAR_CEILING])
 def test_posterior_is_exact_for_every_accepted_observation(ka, ma, m, xi):
@@ -490,7 +474,7 @@ def test_posterior_is_exact_for_every_accepted_observation(ka, ma, m, xi):
     r = np.array(far + [-x for x in far] + [ka + 3.0, -3.0])
     mean, var = posterior_moments(r, xi, prior)
     for i, ri in enumerate(r):
-        mean_ref, var_ref = mp_posterior(ri, xi, prior)
+        mean_ref, var_ref = map(float, mp_posterior(ri, xi, prior, 400))
         assert abs(mean[i] - mean_ref) <= 1e-14 * max(1.0, mean_ref)
         assert abs(var[i] - var_ref) <= 1e-14 * max(1.0, var_ref)
 

@@ -14,13 +14,8 @@ import tuma.metrics as metrics
 from tuma import (ConfigError, DiscreteMeasure, assign_sensors, grid_codebook,
                   quantization_distortion, quantize, total_variation,
                   true_multiplicity, true_type, wasserstein)
-from oracles import reference_wasserstein, transport_vertex_oracle
-
-
-def random_measure(rng, max_atoms=4):
-    size = int(rng.integers(1, max_atoms + 1))
-    counts = rng.integers(1, 6, size=size)
-    return DiscreteMeasure(counts, rng.random((size, 2)))
+from oracles import (random_measure, reference_wasserstein,
+                     transport_vertex_oracle)
 
 
 def nearest_pair(rng, rows, cols, p, grid=None):
