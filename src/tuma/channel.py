@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import _real, _require
+from .scenario import _real, _require, snr_from_db
 from .codebooks import apply
-
-
-def snr_from_db(snr_db):
-    """Linear power P from its dB value, P = 10**(snr_db/10)."""
-    _require(np.isfinite(_real(snr_db, "snr_db")), "snr_db must be finite")
-    return 10.0 ** (snr_db / 10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +27,8 @@ class ReceivedSignal:
         y = np.asarray(self.y, dtype=float)
         _require(y.ndim == 1 and y.size >= 1, "y must be a nonempty vector")
         _require(np.all(np.isfinite(y)), "y must be finite")
-        _require(self.power > 0, "power must be positive")
+        _require(0 < _real(self.power, "power") < np.inf,
+                 "power must be positive and finite")
         y = y.copy()
         y.setflags(write=False)
         object.__setattr__(self, "y", y)

@@ -62,8 +62,9 @@ def quantize(quantizer, points):
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
+    _require(pts.ndim in (1, 2) and pts.shape[-1] == 2,
+             "points must be one point (2,) or a batch (k, 2)")
     pts = np.atleast_2d(pts)
-    _require(pts.shape[1] == 2, "points must have two coordinates")
     _require(np.all(pts >= 0) and np.all(pts <= 1), "points must lie in [0,1]^2")
     c = np.minimum((pts[:, 0] * quantizer.cols).astype(np.int64), quantizer.cols - 1)
     r = np.minimum((pts[:, 1] * quantizer.rows).astype(np.int64), quantizer.rows - 1)

@@ -23,7 +23,8 @@ bound on the largest log-weight caps the distance |r - k| of such a count
 (_windows), and every count outside the window gets weight exactly 0.  The
 variance is the centered second moment (no cancellation).  Coordinates are
 processed in chunks of _CHUNK, sorted by window length, and in blocks of
-about _BLOCK_CELLS (window position, coordinate) cells, so memory is
+about _BLOCK_CELLS (window position, coordinate) cells, each gathering its
+windows' counts and masking the cells past them, so memory is
 O(m + chunk + block) rather than O(m (ka + 1)).  The derivative of the
 tilted mean obeys the exponential-family identity f'(r) = g(r) / xi.
 """
@@ -227,16 +228,13 @@ def posterior_moments(r, xi, prior):
 
     Coordinates go in chunks of _CHUNK, sorted by window length within a
     chunk, and then in blocks of about _BLOCK_CELLS cells laid out as
-    (window position, coordinate): each column holds its own counts, so
-    per-coordinate scalars broadcast along contiguous rows and every
-    reduction runs over axis 0 in count order.  A block is as tall as its
-    first, widest window; where a later window is shorter, its column's
-    cells past the window are zeroed by a mask, so every coordinate's
-    moments are independent of the block it falls in, and a block whose
-    windows all have one length skips the mask.  On a gap-free support
-    such a block's counts are the sum of each window's lowest count and
-    the window position, not a gather.  Besides the two outputs the
-    working memory is O(_CHUNK + _BLOCK_CELLS).
+    (window position, coordinate): each column gathers its own counts from
+    the support, so per-coordinate scalars broadcast along contiguous rows
+    and every reduction runs over axis 0 in count order.  A block is as
+    tall as its first, widest window; a mask zeroes each column's cells
+    past its window, so every coordinate's moments are independent of the
+    block it falls in.  Besides the two outputs the working memory is
+    O(_CHUNK + _BLOCK_CELLS).
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     _require(r_arr.ndim == 1, "observations must be a scalar or a vector")
@@ -259,9 +257,6 @@ def posterior_moments(r, xi, prior):
                         - _LOG_WEIGHT_FLOOR + 1.0)
     support = prior.support
     n_k, size = support.size, r_arr.size
-    # on a gap-free support the count at window position s is first + s
-    # past the lowest count, so a block's counts are a sum, not a gather
-    gap_free = support[-1] - support[0] == n_k - 1
     steps = np.arange(n_k)[:, None]
     cells = min(max(_BLOCK_CELLS, n_k), n_k * size)
     work = np.empty((3, cells))
@@ -283,7 +278,6 @@ def posterior_moments(r, xi, prior):
         order = np.argsort(key, kind="stable")[::-1]
         first, length, r_c = first[order], length[order], r_k[order]
         two_xi_c = two_xi_k[order] if per_coordinate else two_xi_k
-        low = first + support[0]  # each window's lowest count
         order += start
         mean_c, var_c = np.empty((2, order.size))
         pos = 0
@@ -292,29 +286,22 @@ def posterior_moments(r, xi, prior):
             blk = slice(pos, min(pos + max(1, _BLOCK_CELLS // rows),
                                  order.size))
             pos = blk.stop
-            # windows shorter than the block's first leave cells past
-            # their ends, which the mask zeroes
-            masked = length[blk.stop - 1] < rows
             n_cells = rows * (blk.stop - blk.start)
             # contiguous (rows, columns) views: see _sum_counts
             w, t, ks = work[:, :n_cells].reshape(3, rows, -1)
             idx = idx_buf[:n_cells].reshape(rows, -1)
             np.add(steps[:rows], first[blk], out=idx)
-            # a masked block gathers: past the support's end a sum would
-            # make counts outside it, whose weights could top the column
-            if gap_free and not masked:
-                np.add(steps[:rows], low[blk], out=ks)
-            else:
-                np.take(support, idx, out=ks, mode="clip")
+            np.take(support, idx, out=ks, mode="clip")
             np.take(prior.log_mass, idx, out=t, mode="clip")
             two_xi_b = two_xi_c[blk] if per_coordinate else two_xi_c
             _log_weight(r_c[blk], two_xi_b, ks, t, out=w)
             w -= w.max(axis=0)
             np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
             np.exp(w, out=w)
-            if masked:
-                np.less(steps[:rows], length[blk], out=t)
-                w *= t
+            # windows shorter than the block's first leave cells past
+            # their ends, which the mask zeroes
+            np.less(steps[:rows], length[blk], out=t)
+            w *= t
             total = _sum_counts(w)
             np.multiply(w, ks, out=t)
             mean_c[blk] = _sum_counts(t) / total

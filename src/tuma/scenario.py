@@ -10,6 +10,7 @@ plane; its weights are the counts' normalization, derived from them, so
 downstream transport problems work with exact integer marginals.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -48,6 +49,22 @@ def _real(value, name):
     return value
 
 
+def snr_from_db(snr_db):
+    """Linear power P from its dB value, P = 10**(snr_db/10).
+
+    snr_db must be a real number, not a bool, whose P is a positive finite
+    float with a finite reciprocal; anything else raises ConfigError.
+    """
+    try:
+        power = 10.0 ** (float(_real(snr_db, "snr_db")) / 10.0)
+    except OverflowError:
+        power = math.inf
+    _require(0.0 < power < math.inf and 1.0 / power < math.inf,
+             "snr_db must give a power P = 10**(snr_db/10) with P and 1/P "
+             "positive and finite")
+    return power
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one simulated system.
@@ -56,7 +73,8 @@ class SystemConfig:
     ka        -- number of sensors (active users)
     ma        -- number of targets
     m         -- quantization codebook size, a power of two (bits = log2(m))
-    snr_db    -- per-codeword transmit power P in dB, P = 10**(snr_db/10)
+    snr_db    -- per-codeword transmit power P in dB, P = 10**(snr_db/10);
+                 P and 1/P must be positive and finite (see snr_from_db)
     p_order   -- order of the Wasserstein metric used in reports
     max_iters -- decoder iteration cap
     trials    -- Monte Carlo trials per configuration
@@ -79,9 +97,8 @@ class SystemConfig:
             object.__setattr__(self, name, _whole(getattr(self, name), name,
                                                   low))
         _require(_is_pow2(self.m), "m must be a power of two")
-        for name in ("snr_db", "p_order"):
-            _real(getattr(self, name), name)
-        _require(np.isfinite(self.snr_db), "snr_db must be finite")
+        snr_from_db(self.snr_db)
+        _real(self.p_order, "p_order")
         _require(np.isfinite(self.p_order) and self.p_order >= 1.0,
                  "p_order must be finite and >= 1")
 

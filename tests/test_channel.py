@@ -17,8 +17,10 @@ def test_snr_conversion_reference_points():
 
 
 def test_snr_rejects_non_finite():
-    with pytest.raises(ConfigError):
-        snr_from_db(float("nan"))
+    # +-4000 dB: the power overflows to inf or underflows to 0
+    for snr_db in (float("nan"), 4000.0, -4000.0):
+        with pytest.raises(ConfigError):
+            snr_from_db(snr_db)
 
 
 @pytest.mark.parametrize("snr_db", [True, "3", None],
@@ -91,6 +93,9 @@ def test_received_signal_validation():
         ReceivedSignal(y=np.array([1.0, float("nan")]), power=1.0)
     with pytest.raises(ConfigError):
         ReceivedSignal(y=np.array([1.0]), power=0.0)
+    for power in (float("inf"), float("nan"), True, None):
+        with pytest.raises(ConfigError):
+            ReceivedSignal(y=np.array([1.0]), power=power)
     sig = ReceivedSignal(y=np.array([1.0, 2.0]), power=1.0)
     with pytest.raises(ValueError):
         sig.y[0] = 3.0

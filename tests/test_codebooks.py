@@ -81,6 +81,8 @@ def test_quantize_rejects_points_outside_unit_square():
         quantize(q, np.array([1.2, 0.5]))
     with pytest.raises(ConfigError):
         quantize(q, np.array([-0.1, 0.5]))
+    with pytest.raises(ConfigError):  # neither one point nor a (k, 2) batch
+        quantize(q, np.full((1, 2, 2), 0.5))
 
 
 # ---------------------------------------------------------------------------

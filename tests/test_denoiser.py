@@ -336,7 +336,7 @@ _UNIFORM = CountPrior(pmf=np.full(41, 1.0 / 41), ka=40)
 
 def _one_block(prior, per_coordinate, same_length):
     """Observations and noise for one block of the denoiser whose windows
-    all have one length (no mask) or differ in length (masked)."""
+    all have one length (a mask of ones) or differ in length (masked)."""
     rng = np.random.default_rng(53)
     r = rng.uniform(-2.0, prior.ka + 2.0, 400)
     xi = 10.0 ** rng.uniform(-2.0, -0.5, r.size) if per_coordinate else 0.3
@@ -358,8 +358,9 @@ def _one_block(prior, per_coordinate, same_length):
 @pytest.mark.parametrize("per_coordinate", [False, True],
                          ids=["scalar-xi", "vector-xi"])
 @pytest.mark.parametrize("prior", [
-    _UNIFORM, multiplicity_prior(100, 10, 2**14), _BIMODAL, _GAPPED],
-    ids=["uniform", "bits14", "bimodal", "gapped"])
+    _UNIFORM, multiplicity_prior(100, 10, 2**14), _BIMODAL, _GAPPED,
+    multiplicity_prior(2000, 2, 1024)],
+    ids=["uniform", "bits14", "bimodal", "gapped", "ka2000"])
 def test_both_kinds_of_block_match_the_reference(prior, per_coordinate,
                                                  same_length):
     r, xi = _one_block(prior, per_coordinate, same_length)
@@ -367,7 +368,7 @@ def test_both_kinds_of_block_match_the_reference(prior, per_coordinate,
     mean_ref, var_ref = reference_tilted(r, xi, prior)
     assert np.max(np.abs(mean - mean_ref) / (1 + np.abs(mean_ref))) <= 1e-12
     assert np.max(np.abs(var - var_ref) / (1 + np.abs(var_ref))) <= 1e-12
-    # a one-coordinate call is a block of one column, which has no mask
+    # a one-coordinate call is a block of one column, whose mask is all ones
     one = [posterior_moments(r[i], xi[i] if per_coordinate else xi, prior)
            for i in range(r.size)]
     assert one == list(zip(mean, var))

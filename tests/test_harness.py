@@ -402,6 +402,16 @@ def test_cli_refuses_bad_workers_before_its_header(tmp_path, capsys):
         assert "workers must be a whole number" in captured.err
 
 
+def test_cli_refuses_an_out_of_range_snr_before_its_header(capsys):
+    for snr_db in ("4000", "-4000"):
+        assert run_cli(["run", "--n", "16", "--ka", "3", "--ma", "2",
+                        "--bits", "4", "--snr-db", snr_db, "--trials", "2",
+                        "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snr_db must give a power" in captured.err
+
+
 def test_cli_run_refuses_sweep_keys_in_its_config(tmp_path, capsys):
     # run has no --param/--values, so its config file may not name them
     config = tmp_path / "run.cfg"

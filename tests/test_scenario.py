@@ -30,7 +30,7 @@ def test_config_accepts_reference_parameters():
     dict(trials=0), dict(seed=-1), dict(p_order=float("inf")),
     dict(n=True), dict(ma=True), dict(max_iters=True), dict(seed=False),
     dict(snr_db=True), dict(p_order=True), dict(snr_db=None),
-    dict(snr_db="3"),
+    dict(snr_db="3"), dict(snr_db=4000.0), dict(snr_db=-4000.0),
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ConfigError):
