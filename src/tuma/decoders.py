@@ -137,8 +137,7 @@ def _amp(received, cb, prior, k, predicted=False):
     of the predicted xi has the same value; c is zero on the padding rows
     (n > m).  xi is still formed as an m-vector of that value, so
     posterior_moments takes its per-coordinate path (a scalar xi gives the
-    same moments bit for bit); ROADMAP item 2 replaces the squared
-    transforms with the closed form.
+    same moments bit for bit).
     An infinite previous variance makes the first c zero, and xi is
     clamped into [XI_FLOOR, VAR_CEILING].
     """
@@ -172,29 +171,30 @@ def _amp(received, cb, prior, k, predicted=False):
 class _EPWorkspace:
     """Per-decode tables and scratch buffer of the structured EP projection.
 
-    xor    -- the n x n table of r_a XOR r_b over the kept Sylvester rows
-    xor_lo -- its lower triangle (a >= b) in C order, as np.tril_indices
-    pos_lo -- the flat position b n + a of entry (a, b) of the Fortran view
-              buf.T, in the same order as xor_lo
+    lower  -- n x n bool mask of the lower triangle (a >= b); buf.T[lower]
+              visits entry (a, b) of the Fortran view buf.T in C order
+    xor_lo -- r_a XOR r_b over the kept Sylvester rows, in that same order
     buf    -- n x n float64 buffer that S, its Cholesky factor and S^{-1}
-              take turns in
+              take turns in, read and written through buf.T[lower]
     """
 
-    xor: np.ndarray
+    lower: np.ndarray
     xor_lo: np.ndarray
-    pos_lo: np.ndarray
     buf: np.ndarray
 
 
 def _ep_workspace(cb):
-    """Build _ep_projection's workspace for cb; None when it is elementwise."""
+    """Build _ep_projection's workspace for cb; None when it is elementwise.
+
+    The full XOR table is a temporary of the build, so the workspace holds
+    13 n^2 bytes (mask 1, keys 4, buffer 8) and its build peaks there too.
+    """
     if cb.orthonormal_columns:
         return None
-    n = cb.n
-    xor = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
-    rows, cols = np.tril_indices(n)
-    return _EPWorkspace(xor=xor, xor_lo=xor[rows, cols],
-                        pos_lo=cols * n + rows, buf=np.empty((n, n)))
+    lower = np.tri(cb.n, dtype=bool)
+    xor_lo = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)[lower]
+    return _EPWorkspace(lower=lower, xor_lo=xor_lo,
+                        buf=np.empty((cb.n, cb.n)))
 
 
 def _positive_definite(info):
@@ -220,26 +220,24 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
         c_i^T S^{-1} c_i  = scale^2 fwht(g)[i],
         g                 = bincount(r_a XOR r_b, weights=S^{-1}[a, b]),
 
-    so S is one FWHT plus a gather through work.xor and the variance
-    diagonal is one more FWHT.  The mean is w - xi1 C^T S^{-1} C w with
-    w = xi1 (eta1 + lin).
+    so S's lower triangle is one FWHT plus a gather through work.xor_lo and
+    the variance diagonal is one more FWHT.  The mean is
+    w - xi1 C^T S^{-1} C w with w = xi1 (eta1 + lin).
 
     The n x n work runs in work.buf, built once per decode by _ep_workspace,
     and allocates no n x n array:
-      1. S is gathered into buf by np.take with mode="clip" (the default
-         "raise" mode stages the output in a hidden n x n copy; every index
-         is in range, so clipping changes nothing);
-      2. LAPACK potrf factors buf.T in place; buf.T is Fortran-contiguous,
-         so nothing is copied, and S is symmetric, so it is the same matrix;
+      1. S's lower triangle is written into buf.T through work.lower;
+      2. LAPACK potrf factors buf.T in place, reading only that triangle;
+         buf.T is Fortran-contiguous, so nothing is copied;
       3. potrs solves for the mean on that factor, before
       4. potri overwrites the factor with the lower triangle of S^{-1};
-      5. g sums only that lower triangle, read through work.pos_lo in the
-         (row, column) order of a C-order ravel of S^{-1}.  The upper
-         triangle potri leaves behind is never read.
+      5. g sums only that lower triangle, read back through work.lower in
+         the (row, column) order of a C-order ravel of S^{-1}.  The upper
+         triangle of buf.T is never written or read.
     Each call costs O(n^3 + m log m) time; beyond the workspace it
-    allocates the n(n+1)/2 lower-triangle weights and O(m) for the
-    transforms.  A factorization that finds S not positive definite raises
-    numpy.linalg.LinAlgError.
+    allocates the n(n+1)/2 lower-triangle entries of S, then of S^{-1},
+    and O(m) for the transforms.  A factorization that finds S not
+    positive definite raises numpy.linalg.LinAlgError.
     """
     if work is None:
         xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
@@ -247,7 +245,7 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
         return xi0_hat, mu0_hat
     n, buf = cb.n, work.buf
     scale2 = cb.scale**2
-    np.take(scale2 * fwht(xi1), work.xor, out=buf, mode="clip")
+    buf.T[work.lower] = (scale2 * fwht(xi1))[work.xor_lo]
     buf.reshape(-1)[:: n + 1] += sigma2
     chol, info = dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
     _positive_definite(info)
@@ -257,12 +255,11 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
         raise ValueError(f"illegal value in argument {-info} of potrs")
     _, info = dpotri(chol, lower=1, overwrite_c=1)  # lower triangle only
     _positive_definite(info)
-    # xor and S^{-1} are symmetric and xor's diagonal is 0, so g is twice
-    # the lower triangle's weighted count less the trace at g[0], and
-    # fwht(e_0) is all ones.  Arithmetic on m-vectors is in place because
-    # at large m each temporary costs O(m) memory.
-    xi0_hat = fwht(np.bincount(work.xor_lo,
-                               weights=buf.reshape(-1)[work.pos_lo],
+    # r_a XOR r_b and S^{-1} are symmetric and the XOR's diagonal is 0, so
+    # g is twice the lower triangle's weighted count less the trace at g[0],
+    # and fwht(e_0) is all ones.  Arithmetic on m-vectors is in place
+    # because at large m each temporary costs O(m) memory.
+    xi0_hat = fwht(np.bincount(work.xor_lo, weights=buf.T[work.lower],
                                minlength=cb.m))
     xi0_hat *= -2.0 * scale2
     xi0_hat += scale2 * np.trace(buf)

@@ -3,10 +3,15 @@ Monte Carlo harness: single trials, parameter sweeps, CSV reports.
 
 A trial is one scene, simulated once and decoded by every decoder of the
 sweep.  Each trial draws its own random stream from (seed, trial_index), so
-results do not depend on execution order or worker count, and sweeps reuse
+scenes do not depend on execution order or worker count, and sweeps reuse
 the same trial streams at every swept value (common random numbers — scene
-draws are paired across values).  Diverged decodes contribute their last
-finite estimate and are counted in the diverged column.
+draws are paired across values).  A decode can depend on the BLAS thread
+count: ep's LAPACK calls round differently on one thread than on two, so
+its k_soft can differ in the last bits between a serial sweep, which keeps
+the caller's BLAS threads, and a pooled one, whose workers run BLAS on one
+thread.  EP amplifies such roundoff, so a rounded estimate, and with it a
+row, can differ too.  Diverged decodes contribute their last finite
+estimate and are counted in the diverged column.
 """
 
 import csv
@@ -41,6 +46,9 @@ SWEEPABLE = ("ma", "bits", "n", "snr_db")
 def _check_decoders(decoders):
     _require(not isinstance(decoders, str) and len(decoders) >= 1,
              "decoders must be a nonempty sequence of decoder names")
+    names = list(decoders)
+    _require(all(names.count(name) == 1 for name in names),
+             "decoders must not repeat a name")
 
 
 @dataclass(frozen=True)

@@ -585,12 +585,15 @@ def test_ep_projection_memory_is_bounded_at_largest_size():
        sigma2_db=st.floats(-30, 30), seed=st.integers(0, 2**32 - 1))
 @example(geometry=(250, 1024), exponents=(-1.0, 1.0), sigma2_db=-12.0,
          seed=0)
+@example(geometry=(1024, 4096), exponents=(-1.0, 1.0), sigma2_db=-12.0,
+         seed=0)
 @settings(max_examples=200)
 def test_ep_projection_is_bit_identical_to_copying_projection(
         geometry, exponents, sigma2_db, seed):
     n, m = geometry
     cb = hadamard_codebook(n, m)
     work = tuma.decoders._ep_workspace(cb)
+    work.buf.fill(np.nan)  # the projection must read only what it writes
     rng = np.random.default_rng(seed)
     xi1 = 10.0 ** rng.uniform(min(exponents), max(exponents), m)
     sigma2 = 10.0 ** (sigma2_db / 10)
@@ -643,6 +646,21 @@ def test_ep_projection_allocates_no_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= n * n * 8
+
+
+def test_ep_workspace_memory_is_bounded_at_n_1024():
+    # 13 n^2 bytes: the lower-triangle mask, its XOR keys and one buffer
+    n, m = 1024, 4096
+    cb = hadamard_codebook(n, m)
+    tracemalloc.start()
+    try:
+        work = tuma.decoders._ep_workspace(cb)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert work is not None
+    assert held <= 14 * n * n
+    assert peak <= 14 * n * n
 
 
 def test_ep_decode_does_not_carry_state_between_decodes():

@@ -277,6 +277,8 @@ def test_sweep_spec_validation():
         SweepSpec(base=TINY, param="ma", values=())
     with pytest.raises(ConfigError):
         SweepSpec(base=TINY, decoders=("amp", "turbo"))
+    with pytest.raises(ConfigError):
+        SweepSpec(base=TINY, decoders=("amp", "amp"))
 
 
 @pytest.mark.parametrize("param,values", [
