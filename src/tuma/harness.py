@@ -16,6 +16,7 @@ estimate and are counted in the diverged column.
 
 import csv
 import ctypes
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,6 +43,16 @@ CSV_COLUMNS = ("sweep_param", "value", "decoder", "n", "ka", "ma", "bits",
 
 SWEEPABLE = ("ma", "bits", "n", "snr_db")
 
+# The largest sizes a sweep accepts.  amp's memory is bounded in m, and one
+# amp trial at n = 500, ka 100, ma 10 took 16 s and 451 MB at MAX_M on a
+# 2-CPU VM.  Below n = m an ep decode holds a 13 n^2-byte workspace
+# (decoders._ep_workspace; tests/test_decoders.py bounds it), and
+# MAX_EP_N = 9088 is the largest n whose workspace fits in
+# EP_WORKSPACE_BUDGET.
+MAX_M = 2**22
+EP_WORKSPACE_BUDGET = 2**30
+MAX_EP_N = math.isqrt(EP_WORKSPACE_BUDGET // 13)
+
 
 def _check_decoders(decoders):
     _require(not isinstance(decoders, str) and len(decoders) >= 1,
@@ -57,7 +68,8 @@ class SweepSpec:
 
     param may also be "none" (single-point run); values must then be
     (None,).  A swept field takes no None, and ma, n and bits take whole
-    numbers only (see derive_config).
+    numbers only (see derive_config).  Every swept point must fit the size
+    envelope: m <= MAX_M and, when ep runs with n < m, n <= MAX_EP_N.
     """
 
     base: SystemConfig
@@ -74,11 +86,19 @@ class SweepSpec:
                      "param 'none' takes values=(None,)")
         else:
             _require(len(self.values) >= 1, "values must be nonempty")
-            for value in self.values:
-                derive_config(self.base, self.param, value)
         _check_decoders(self.decoders)
         for dec in self.decoders:
             _require(dec in ALGORITHMS, f"unknown decoder {dec!r}")
+        for value in self.values:
+            config = derive_config(self.base, self.param, value)
+            _require(config.m <= MAX_M,
+                     f"m = 2**{config.bits} exceeds the largest supported "
+                     f"m = 2**{MAX_M.bit_length() - 1}")
+            if "ep" in self.decoders and config.n < config.m:
+                _require(config.n <= MAX_EP_N,
+                         f"ep with n = {config.n} < m needs n <= {MAX_EP_N},"
+                         f" so that its workspace fits in "
+                         f"{EP_WORKSPACE_BUDGET} bytes")
 
 
 @dataclass(frozen=True)

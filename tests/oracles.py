@@ -11,12 +11,13 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy import sparse
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dlauum, dpotrf
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from tuma.channel import ReceivedSignal, snr_from_db
 from tuma.codebooks import adjoint, apply, fwht
+from tuma.decoders import _invert_lower
 from tuma.denoiser import XI_FLOOR, posterior_moments
 from tuma.scenario import DiscreteMeasure, _require
 
@@ -147,9 +148,12 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
     takes the same arguments as; work is ignored and the r_a XOR r_b table
     is rebuilt from cb.row_ids, so a wrong table in the library's workspace
     cannot sit on both sides.  S is gathered by fancy indexing into a fresh
-    array, LAPACK potrf and potri each copy their input, S^{-1} is raveled
-    whole (its upper triangle is potrf's cleaned zeros), and the mean goes
-    through scipy's cho_solve after potri.
+    array, and LAPACK potrf copies it.  The factor is inverted in a Fortran
+    copy of its own by the library's _invert_lower, and LAPACK lauum copies
+    that, so the factor itself is left for scipy's cho_solve to find the
+    mean with.  S^{-1} and the XOR table are raveled whole in Fortran
+    order, column by column as the library reads them (the upper triangle
+    is potrf's cleaned zeros).
     Each floating-point operation is the one the library does, in the same
     order, so the outputs must be equal, not merely close.
     """
@@ -163,11 +167,14 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
     s_mat[np.diag_indices_from(s_mat)] += sigma2
     chol, info = dpotrf(s_mat, lower=1)
     if info == 0:
-        s_inv, info = dpotri(chol, lower=1)  # lower triangle only
+        inverse = np.array(chol, order="F")
+        _invert_lower(inverse)
+        s_inv, info = dlauum(inverse, lower=1)  # lower triangle only
     if info != 0:
         raise np.linalg.LinAlgError(
             f"EP projection matrix is not positive definite (info={info})")
-    xi0_hat = fwht(np.bincount(xor.ravel(), weights=s_inv.ravel(),
+    xi0_hat = fwht(np.bincount(xor.ravel(order="F"),
+                               weights=s_inv.ravel(order="F"),
                                minlength=cb.m))
     xi0_hat *= -2.0 * scale2
     xi0_hat += scale2 * np.trace(s_inv)

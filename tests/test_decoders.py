@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 import tuma.decoders
 from oracles import (copying_ep_projection, dense_codebook,
@@ -291,7 +292,7 @@ def test_xi_track_stays_in_the_variance_range(algorithm):
     assert all(XI_FLOOR <= xi <= VAR_CEILING for xi in report.xi_track)
 
 
-@pytest.mark.parametrize("factorization", ["dpotrf", "dpotri"])
+@pytest.mark.parametrize("factorization", ["dpotrf", "dtrtri", "dlauum"])
 def test_ep_non_positive_definite_projection_raises_diverged(factorization,
                                                              monkeypatch):
     # LAPACK reports failure through info > 0, not an exception; the second
@@ -529,6 +530,8 @@ def truncated_geometries(draw, max_bits=9):
        sigma2_db=st.floats(-30, 30), seed=st.integers(0, 2**32 - 1))
 @example(geometry=(250, 1024), exponents=(-1.0, 1.0), sigma2_db=-12.0,
          seed=0)
+@example(geometry=(1024, 4096), exponents=(-1.0, 1.0), sigma2_db=-12.0,
+         seed=0)
 @settings(max_examples=200)
 def test_ep_projection_matches_dense_oracle(geometry, exponents, sigma2_db,
                                             seed):
@@ -569,6 +572,46 @@ def test_ep_projection_memory_is_bounded_at_largest_size():
         tracemalloc.stop()
     # one dense n x m float64 array alone would take 524 MB
     assert peak <= 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the factor's inverse by halves against a triangular solve
+
+
+def nan_topped_factor(n, seed):
+    """A Cholesky factor L of a well-conditioned SPD matrix, and L in a
+    Fortran-ordered array whose strict upper triangle is NaN."""
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    factor = np.linalg.cholesky(a @ a.T / n + np.eye(n))
+    tri = np.full((n, n), np.nan, order="F")
+    lower = np.tril_indices(n)
+    tri[lower] = factor[lower]
+    return factor, tri
+
+
+# 63, 64 and 65 sit at the base block's edge, and 65, 127, 129 and 250
+# split into halves of unequal order
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 250, 1024])
+def test_invert_lower_matches_a_triangular_solve(n):
+    factor, tri = nan_topped_factor(n, seed=n)
+    expected = solve_triangular(factor, np.eye(n), lower=True)
+    tuma.decoders._invert_lower(tri)
+    assert np.isnan(tri[np.triu_indices(n, 1)]).all()
+    got = tri[np.tril_indices(n)]
+    # a normwise forward error of n eps kappa(L) |L^{-1}| for either method
+    # (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992)
+    bound = n * EPS * np.linalg.cond(factor) * np.abs(expected).max()
+    assert np.all(np.abs(got - expected[np.tril_indices(n)]) <= bound)
+
+
+@pytest.mark.parametrize("n,zero", [(40, 17), (200, 10), (200, 150)])
+def test_invert_lower_refuses_a_zero_on_the_diagonal(n, zero):
+    # (40, 17) is one base block; at n = 200 the zero is in the first, then
+    # the second half of a split
+    _, tri = nan_topped_factor(n, seed=n)
+    tri[zero, zero] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        tuma.decoders._invert_lower(tri)
 
 
 # ---------------------------------------------------------------------------

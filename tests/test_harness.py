@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import tuma.harness as harness
 from tuma import (CSV_COLUMNS, ConfigError, SweepSpec, SystemConfig,
                   TrialResult, aggregate, derive_config, run_sweep, run_trial)
 from tuma.cli import main
+from tuma.harness import MAX_EP_N, MAX_M
 
 TINY = SystemConfig(n=16, ka=3, ma=2, m=16, snr_db=0.0, trials=4, seed=9)
 ALL_DECODERS = ("amp", "scalar_amp", "ep")
@@ -292,6 +294,33 @@ def test_sweep_spec_values_must_fit_the_param(param, values):
         SweepSpec(base=TINY, param=param, values=values)
 
 
+def test_sweep_spec_accepts_sizes_up_to_the_envelope():
+    SweepSpec(base=replace(TINY, m=MAX_M))
+    SweepSpec(base=replace(TINY, n=MAX_EP_N, m=2**14), decoders=("ep",))
+    # amp holds no n x n array, and ep's projection is elementwise at n >= m
+    SweepSpec(base=replace(TINY, n=MAX_EP_N + 1, m=2**14))
+    SweepSpec(base=replace(TINY, n=2**14, m=2**14), decoders=("ep",))
+
+
+@pytest.mark.parametrize("base,param,values,decoders", [
+    (replace(TINY, m=2 * MAX_M), "none", (None,), ("amp",)),
+    (TINY, "bits", (4, MAX_M.bit_length()), ("amp",)),
+    (replace(TINY, n=MAX_EP_N + 1, m=2**14), "none", (None,), ("amp", "ep")),
+    (replace(TINY, m=2**14), "n", (16, MAX_EP_N + 1), ("ep",)),
+])
+def test_sweep_spec_refuses_sizes_past_the_envelope(base, param, values,
+                                                    decoders):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            SweepSpec(base=base, param=param, values=values,
+                      decoders=decoders)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**16  # refused before anything of that size exists
+
+
 def test_sweep_spec_rejects_a_bare_decoder_name():
     # a string is a sequence of characters; it must not be checked as 'a', ...
     with pytest.raises(ConfigError, match="sequence"):
@@ -412,6 +441,18 @@ def test_cli_refuses_an_out_of_range_snr_before_its_header(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "snr_db must give a power" in captured.err
+
+
+def test_cli_refuses_a_size_past_the_envelope_before_its_header(capsys):
+    # 2**40 quantizer cells would take 8 TiB; 2**3000000 has more decimal
+    # digits than Python will print, so the message gives the bits
+    for bits in ("40", "3000000"):
+        assert run_cli(["run", "--n", "16", "--ka", "3", "--ma", "2",
+                        "--bits", bits, "--snr-db", "0", "--trials", "2",
+                        "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"m = 2**{bits} exceeds the largest supported" in captured.err
 
 
 def test_cli_run_refuses_sweep_keys_in_its_config(tmp_path, capsys):
