@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs
 
 from .scenario import _require, _whole
 from .codebooks import adjoint, apply, fwht, sq_adjoint, sq_apply
@@ -46,11 +45,10 @@ from .denoiser import VAR_CEILING, XI_FLOOR, posterior_moments
 # EP site updates in natural parameters: new = (1 - d) raw + d old.
 EP_DAMPING = 0.3
 
-# _invert_lower hands blocks of at most this order to LAPACK trtri.  On one
-# OpenBLAS thread (2-CPU VM, min of 10), inverting a Cholesky factor of
-# order 250 took 390 us with base blocks of 32 or 64, 450 with 16, 500 with
-# 128 and 870 as one trtri call; 64 was also the fastest at n = 100 and 300.
-TRIANGULAR_BLOCK = 64
+# Bytes per n^2 that an EP workspace (_ep_workspace) holds and its build
+# peaks at, 8 + 8/n, rounded up; tests/test_decoders.py measures it at
+# n = 1024, and harness.MAX_EP_N is derived from it.
+_EP_WORKSPACE_BYTES = 9
 
 
 @dataclass(frozen=True)
@@ -176,72 +174,52 @@ def _amp(received, cb, prior, k, predicted=False):
 
 @dataclass(frozen=True, eq=False)
 class _EPWorkspace:
-    """Per-decode tables and scratch buffer of the structured EP projection.
+    """Per-decode key table and scratch buffer of the structured EP projection.
 
-    upper  -- n x n bool mask of buf's upper triangle, which is the lower
-              triangle (a >= b) of the Fortran view buf.T; buf[upper]
-              visits entry (a, b) of buf.T column by column
-    xor_up -- r_a XOR r_b over the kept Sylvester rows, in that same order
-    buf    -- n x n float64 buffer that S, its Cholesky factor L, L^{-1}
-              and S^{-1} take turns in; LAPACK works on the lower triangle
-              of buf.T, which buf[upper] writes and reads contiguously
+    Both hold the n(n+1)/2 entries of an n x n lower triangle in LAPACK's
+    Rectangular Full Packed order (TRANSR = 'N', UPLO = 'L'):
+
+    keys -- r_a XOR r_b over the kept Sylvester rows, as intp so bincount
+            reads them without a copy
+    buf  -- float64 buffer that S, its Cholesky factor and S^{-1} take
+            turns in
     """
 
-    upper: np.ndarray
-    xor_up: np.ndarray
+    keys: np.ndarray
     buf: np.ndarray
 
 
 def _ep_workspace(cb):
     """Build _ep_projection's workspace for cb; None when it is elementwise.
 
-    The full XOR table is a temporary of the build, so the workspace holds
-    13 n^2 bytes (mask 1, keys 4, buffer 8) and its build peaks there too.
+    RFP stores the lower triangle of order n as an (n + 1 - n % 2) x
+    ceil(n/2) Fortran array whose column j ends with column j of the
+    triangle; above it sits row j (n even) or row j - 1 (n odd) of the
+    trailing triangle, of order floor(n/2).  Read row-major, that array is
+    keys.reshape(ceil(n/2), -1), so one broadcast XOR of the leading
+    ceil(n/2) row ids against all of them writes the columns, and one more,
+    under a triangular where-mask, writes the trailing triangle above
+    them.  The workspace holds 8 n^2 bytes (keys and buffer, 4 n^2 each);
+    the mask is freed before the buffer is made (_EP_WORKSPACE_BYTES).
     """
     if cb.orthonormal_columns:
         return None
-    upper = ~np.tri(cb.n, k=-1, dtype=bool)
-    xor_up = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)[upper]
-    return _EPWorkspace(upper=upper, xor_up=xor_up,
-                        buf=np.empty((cb.n, cb.n)))
+    n, row = cb.n, cb.row_ids
+    half, odd = n // 2, n % 2
+    keys = np.empty(n * (n + 1) // 2, dtype=np.intp)
+    rfp = keys.reshape(n - half, n + 1 - odd)
+    np.bitwise_xor(row[: n - half, None], row, out=rfp[:, 1 - odd:])
+    np.bitwise_xor(row[n - half:, None], row[n - half:],
+                   out=rfp[odd:, :half], where=np.tri(half, dtype=bool))
+    return _EPWorkspace(keys=keys, buf=np.empty(keys.size))
 
 
 def _positive_definite(info):
-    """Raise numpy.linalg.LinAlgError unless a LAPACK potrf, trtri or lauum
-    call succeeded (a factor with a zero pivot makes trtri fail)."""
+    """Raise numpy.linalg.LinAlgError unless a LAPACK pftrf or pftri call
+    succeeded (a factor with a zero pivot makes pftri fail)."""
     if info != 0:
         raise np.linalg.LinAlgError(
             f"EP projection matrix is not positive definite (info={info})")
-
-
-def _invert_lower(tri):
-    """Overwrite the lower triangle of the square array tri with its inverse.
-
-    Splitting L into halves, L^{-1} = [[W11, 0], [W21, W22]] with
-    W11 = L11^{-1}, W22 = L22^{-1} and W21 = -W22 (L21 W11), LAPACK trtri's
-    own blocked scheme (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).
-    The halves recurse down to blocks of at most TRIANGULAR_BLOCK, one trtri
-    each, and W21 takes two BLAS trmm calls; at n = 250 this takes less
-    than half the time of one trtri call on the whole factor (timings at
-    TRIANGULAR_BLOCK).
-    The strict upper triangle is never read and keeps its values.  A block
-    that is not Fortran-contiguous is copied in by the wrapper and written
-    back here, one block at a time.  A zero on the diagonal raises
-    numpy.linalg.LinAlgError.
-    """
-    n = len(tri)
-    if n <= TRIANGULAR_BLOCK:
-        inverse, info = dtrtri(tri, lower=1, overwrite_c=1)
-        _positive_definite(info)
-        if inverse is not tri:
-            tri[...] = inverse
-        return
-    half = n // 2
-    _invert_lower(tri[:half, :half])
-    _invert_lower(tri[half:, half:])
-    w21 = dtrmm(1.0, tri[:half, :half], tri[half:, :half], side=1, lower=1)
-    tri[half:, :half] = dtrmm(-1.0, tri[half:, half:], w21, lower=1,
-                              overwrite_b=1)
 
 
 def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
@@ -260,26 +238,17 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
         c_i^T S^{-1} c_i  = scale^2 fwht(g)[i],
         g                 = bincount(r_a XOR r_b, weights=S^{-1}[a, b]),
 
-    so S's lower triangle is one FWHT plus a gather through work.xor_up and
-    the variance diagonal is one more FWHT.  The mean is
+    so S's lower triangle is one FWHT plus a gather through work.keys (key
+    0 is the diagonal and nothing else, so sigma2 goes on the transform's
+    entry 0) and the variance diagonal is one more FWHT.  The mean is
     w - xi1 C^T S^{-1} C w with w = xi1 (eta1 + lin).
 
-    The n x n work runs in work.buf, built once per decode by _ep_workspace,
-    and allocates no n x n array.  LAPACK works on the lower triangle of
-    buf.T, which is Fortran-contiguous, so nothing is copied whole; that
-    triangle is buf's upper one, written and read through work.upper in
-    buf's own C order:
-      1. S's lower triangle is written, column by column;
-      2. LAPACK potrf factors it in place into L;
-      3. potrs solves for the mean on that factor, before
-      4. _invert_lower overwrites L with L^{-1}, by halves, and LAPACK
-         lauum with L^{-T} L^{-1}, the lower triangle of S^{-1};
-      5. g sums only that lower triangle, column by column.
-    The strict upper triangle of buf.T is never written or read.  Each call
-    costs O(n^3 + m log m) time; beyond the workspace it allocates the
-    n(n+1)/2 lower-triangle entries of S, then of S^{-1}, the half-sized
-    blocks that _invert_lower copies one at a time, and O(m) for the
-    transforms.  A factorization that finds S not positive definite raises
+    The triangle lives in work.buf in RFP order, built once per decode by
+    _ep_workspace: LAPACK pftrf factors it in place, pftrs solves for the
+    mean on that factor, and pftri overwrites the factor with the lower
+    triangle of S^{-1}, which one bincount sums.  Each call costs
+    O(n^3 + m log m) time and allocates O(n + m) beyond the workspace.  A
+    factorization that finds S not positive definite raises
     numpy.linalg.LinAlgError.
     """
     if work is None:
@@ -288,25 +257,31 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
         return xi0_hat, mu0_hat
     n, buf = cb.n, work.buf
     scale2 = cb.scale**2
-    buf[work.upper] = (scale2 * fwht(xi1))[work.xor_up]
-    buf.reshape(-1)[:: n + 1] += sigma2
-    chol, info = dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+    # Arithmetic on m-vectors is in place, and one vector holds S's
+    # distinct entries, then w, then the mean, because at large m each
+    # vector costs O(m) memory.
+    mu0_hat = fwht(xi1)
+    mu0_hat *= scale2
+    mu0_hat[0] += sigma2
+    np.take(mu0_hat, work.keys, out=buf, mode="clip")  # clip is unbuffered
+    _, info = dpftrf(n, buf, uplo="L", overwrite_a=1)
     _positive_definite(info)
-    mu0_hat = xi1 * (eta1 + lin)  # w
-    solved, info = dpotrs(chol, apply(cb, mu0_hat), lower=1, overwrite_b=1)
+    np.add(eta1, lin, out=mu0_hat)
+    mu0_hat *= xi1  # w
+    solved, info = dpftrs(n, buf, apply(cb, mu0_hat), uplo="L",
+                          overwrite_b=1)
     if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    _invert_lower(chol)
-    _, info = dlauum(chol, lower=1, overwrite_c=1)  # lower triangle only
+        raise ValueError(f"illegal value in argument {-info} of pftrs")
+    _, info = dpftri(n, buf, uplo="L", overwrite_a=1)
     _positive_definite(info)
     # r_a XOR r_b and S^{-1} are symmetric and the XOR's diagonal is 0, so
-    # g is twice the lower triangle's weighted count less the trace at g[0],
-    # and fwht(e_0) is all ones.  Arithmetic on m-vectors is in place
-    # because at large m each temporary costs O(m) memory.
-    xi0_hat = fwht(np.bincount(work.xor_up, weights=buf[work.upper],
-                               minlength=cb.m))
+    # g is twice the lower triangle's weighted count less the trace, which
+    # is that count's bin 0, and fwht(e_0) is all ones.
+    xi0_hat = np.bincount(work.keys, weights=buf, minlength=cb.m)
+    trace = xi0_hat[0]
+    xi0_hat = fwht(xi0_hat)
     xi0_hat *= -2.0 * scale2
-    xi0_hat += scale2 * np.trace(buf)
+    xi0_hat += scale2 * trace
     xi0_hat *= xi1**2
     xi0_hat += xi1
     correction = adjoint(cb, solved)

@@ -32,7 +32,8 @@ from .scenario import (SystemConfig, _real, _require, _whole, assign_sensors,
 from .codebooks import grid_codebook, hadamard_codebook
 from .channel import transmit
 from .denoiser import multiplicity_prior
-from .decoders import ALGORITHMS, DecoderDiverged, DecoderOptions, decode
+from .decoders import (_EP_WORKSPACE_BYTES, ALGORITHMS, DecoderDiverged,
+                       DecoderOptions, decode)
 from .metrics import (estimated_type, quantization_distortion,
                       total_variation, wasserstein)
 
@@ -45,13 +46,13 @@ SWEEPABLE = ("ma", "bits", "n", "snr_db")
 
 # The largest sizes a sweep accepts.  amp's memory is bounded in m, and one
 # amp trial at n = 500, ka 100, ma 10 took 16 s and 451 MB at MAX_M on a
-# 2-CPU VM.  Below n = m an ep decode holds a 13 n^2-byte workspace
-# (decoders._ep_workspace; tests/test_decoders.py bounds it), and
-# MAX_EP_N = 9088 is the largest n whose workspace fits in
+# 2-CPU VM.  Below n = m an ep decode holds a workspace of
+# decoders._EP_WORKSPACE_BYTES per n^2 (tests/test_decoders.py bounds it),
+# and MAX_EP_N = 10922 is the largest n whose workspace fits in
 # EP_WORKSPACE_BUDGET.
 MAX_M = 2**22
 EP_WORKSPACE_BUDGET = 2**30
-MAX_EP_N = math.isqrt(EP_WORKSPACE_BUDGET // 13)
+MAX_EP_N = math.isqrt(EP_WORKSPACE_BUDGET // _EP_WORKSPACE_BYTES)
 
 
 def _check_decoders(decoders):

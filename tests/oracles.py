@@ -11,13 +11,12 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy import sparse
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dlauum, dpotrf
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dtrttf
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from tuma.channel import ReceivedSignal, snr_from_db
 from tuma.codebooks import adjoint, apply, fwht
-from tuma.decoders import _invert_lower
 from tuma.denoiser import XI_FLOOR, posterior_moments
 from tuma.scenario import DiscreteMeasure, _require
 
@@ -145,15 +144,13 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
     """EP's structured projection with every copy the library avoids.
 
     The bit-identity reference for tuma.decoders._ep_projection, which it
-    takes the same arguments as; work is ignored and the r_a XOR r_b table
-    is rebuilt from cb.row_ids, so a wrong table in the library's workspace
-    cannot sit on both sides.  S is gathered by fancy indexing into a fresh
-    array, and LAPACK potrf copies it.  The factor is inverted in a Fortran
-    copy of its own by the library's _invert_lower, and LAPACK lauum copies
-    that, so the factor itself is left for scipy's cho_solve to find the
-    mean with.  S^{-1} and the XOR table are raveled whole in Fortran
-    order, column by column as the library reads them (the upper triangle
-    is potrf's cleaned zeros).
+    takes the same arguments as; work is ignored.  S and the r_a XOR r_b
+    table are gathered whole from cb.row_ids by fancy indexing and packed
+    into LAPACK's Rectangular Full Packed order by LAPACK trttf, so a wrong
+    key map in the library's workspace cannot sit on both sides (keys below
+    2**53 round-trip exactly as floats).  LAPACK pftrf, pftrs and pftri
+    then run with every overwrite off, each on a fresh copy, and the packed
+    S^{-1} is summed by key in RFP order, as the library reads it.
     Each floating-point operation is the one the library does, in the same
     order, so the outputs must be equal, not merely close.
     """
@@ -161,27 +158,30 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
         xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
         mu0_hat = xi0_hat * (eta1 + lin)
         return xi0_hat, mu0_hat
+    n = cb.n
     xor = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
     scale2 = cb.scale**2
     s_mat = (scale2 * fwht(xi1))[xor]
     s_mat[np.diag_indices_from(s_mat)] += sigma2
-    chol, info = dpotrf(s_mat, lower=1)
+    s_rfp, info = dtrttf(s_mat, uplo="L")
+    keys, key_info = dtrttf(xor.astype(float), uplo="L")
+    assert info == key_info == 0
+    chol, info = dpftrf(n, s_rfp, uplo="L")
     if info == 0:
-        inverse = np.array(chol, order="F")
-        _invert_lower(inverse)
-        s_inv, info = dlauum(inverse, lower=1)  # lower triangle only
+        s_inv, info = dpftri(n, chol, uplo="L")
     if info != 0:
         raise np.linalg.LinAlgError(
             f"EP projection matrix is not positive definite (info={info})")
-    xi0_hat = fwht(np.bincount(xor.ravel(order="F"),
-                               weights=s_inv.ravel(order="F"),
-                               minlength=cb.m))
+    counts = np.bincount(keys.astype(np.intp), weights=s_inv, minlength=cb.m)
+    xi0_hat = fwht(counts)
     xi0_hat *= -2.0 * scale2
-    xi0_hat += scale2 * np.trace(s_inv)
+    xi0_hat += scale2 * counts[0]  # bin 0 sums the diagonal: the trace
     xi0_hat *= xi1**2
     xi0_hat += xi1
     mu0_hat = xi1 * (eta1 + lin)  # w
-    correction = adjoint(cb, cho_solve((chol, True), apply(cb, mu0_hat)))
+    solved, info = dpftrs(n, chol, apply(cb, mu0_hat), uplo="L")
+    assert info == 0
+    correction = adjoint(cb, solved)
     correction *= xi1
     mu0_hat -= correction
     return xi0_hat, mu0_hat

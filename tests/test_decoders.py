@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrttf
 
 import tuma.decoders
 from oracles import (copying_ep_projection, dense_codebook,
@@ -292,7 +292,7 @@ def test_xi_track_stays_in_the_variance_range(algorithm):
     assert all(XI_FLOOR <= xi <= VAR_CEILING for xi in report.xi_track)
 
 
-@pytest.mark.parametrize("factorization", ["dpotrf", "dtrtri", "dlauum"])
+@pytest.mark.parametrize("factorization", ["dpftrf", "dpftri"])
 def test_ep_non_positive_definite_projection_raises_diverged(factorization,
                                                              monkeypatch):
     # LAPACK reports failure through info > 0, not an exception; the second
@@ -304,9 +304,9 @@ def test_ep_non_positive_definite_projection_raises_diverged(factorization,
     real = getattr(tuma.decoders, factorization)
     calls = []
 
-    def fails_second_time(mat, **kwargs):
+    def fails_second_time(*args, **kwargs):
         calls.append(1)
-        out, info = real(mat, **kwargs)
+        out, info = real(*args, **kwargs)
         return out, (info if len(calls) == 1 else 7)
 
     monkeypatch.setattr(tuma.decoders, factorization, fails_second_time)
@@ -575,43 +575,19 @@ def test_ep_projection_memory_is_bounded_at_largest_size():
 
 
 # ---------------------------------------------------------------------------
-# the factor's inverse by halves against a triangular solve
+# the workspace's key table against LAPACK's own packing
 
 
-def nan_topped_factor(n, seed):
-    """A Cholesky factor L of a well-conditioned SPD matrix, and L in a
-    Fortran-ordered array whose strict upper triangle is NaN."""
-    a = np.random.default_rng(seed).normal(size=(n, n))
-    factor = np.linalg.cholesky(a @ a.T / n + np.eye(n))
-    tri = np.full((n, n), np.nan, order="F")
-    lower = np.tril_indices(n)
-    tri[lower] = factor[lower]
-    return factor, tri
-
-
-# 63, 64 and 65 sit at the base block's edge, and 65, 127, 129 and 250
-# split into halves of unequal order
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 250, 1024])
-def test_invert_lower_matches_a_triangular_solve(n):
-    factor, tri = nan_topped_factor(n, seed=n)
-    expected = solve_triangular(factor, np.eye(n), lower=True)
-    tuma.decoders._invert_lower(tri)
-    assert np.isnan(tri[np.triu_indices(n, 1)]).all()
-    got = tri[np.tril_indices(n)]
-    # a normwise forward error of n eps kappa(L) |L^{-1}| for either method
-    # (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992)
-    bound = n * EPS * np.linalg.cond(factor) * np.abs(expected).max()
-    assert np.all(np.abs(got - expected[np.tril_indices(n)]) <= bound)
-
-
-@pytest.mark.parametrize("n,zero", [(40, 17), (200, 10), (200, 150)])
-def test_invert_lower_refuses_a_zero_on_the_diagonal(n, zero):
-    # (40, 17) is one base block; at n = 200 the zero is in the first, then
-    # the second half of a split
-    _, tri = nan_topped_factor(n, seed=n)
-    tri[zero, zero] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        tuma.decoders._invert_lower(tri)
+# RFP lays out odd and even orders differently, and 1 is a lone diagonal
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 250, 251, 1024])
+def test_ep_workspace_keys_are_the_rfp_packed_xor_table(n):
+    cb = hadamard_codebook(n, 4096)
+    work = tuma.decoders._ep_workspace(cb)
+    table = np.bitwise_xor.outer(cb.row_ids, cb.row_ids).astype(float)
+    expected, info = dtrttf(table, uplo="L")  # keys < 2**53 are exact
+    assert info == 0
+    assert work.keys.dtype == np.intp and work.buf.shape == work.keys.shape
+    assert np.array_equal(work.keys, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +650,7 @@ def test_ep_decode_is_bit_identical_to_copying_projection(
 
 
 def test_ep_projection_allocates_no_square_matrix():
-    # the copying projection peaks at about four n x n float64 arrays
+    # the copying projection peaks at about five n x n float64 arrays
     n, m = 250, 1024
     cb = hadamard_codebook(n, m)
     work = tuma.decoders._ep_workspace(cb)
@@ -688,11 +664,12 @@ def test_ep_projection_allocates_no_square_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= n * n * 8
+    assert peak <= n * n
 
 
 def test_ep_workspace_memory_is_bounded_at_n_1024():
-    # 13 n^2 bytes: the lower-triangle mask, its XOR keys and one buffer
+    # 8 n^2 bytes: the packed XOR keys and one buffer; the build's
+    # n^2/4-byte triangular mask is freed before the buffer is made
     n, m = 1024, 4096
     cb = hadamard_codebook(n, m)
     tracemalloc.start()
@@ -702,8 +679,8 @@ def test_ep_workspace_memory_is_bounded_at_n_1024():
     finally:
         tracemalloc.stop()
     assert work is not None
-    assert held <= 14 * n * n
-    assert peak <= 14 * n * n
+    assert held <= tuma.decoders._EP_WORKSPACE_BYTES * n * n
+    assert peak <= tuma.decoders._EP_WORKSPACE_BYTES * n * n
 
 
 def test_ep_decode_does_not_carry_state_between_decodes():
