@@ -17,8 +17,8 @@ differ in how they track the effective observation and its uncertainty:
 
 On a codebook with orthonormal columns (n >= m), C^T y / sqrt(nP) is
 exactly k + N(0, I/(nP)), so one posterior_moments call on it at
-xi = 1/(nP) is the exact marginal posterior.  ep reaches that call (its
-projection is elementwise there).  amp and scalar_amp still run the AMP
+xi = 1/(nP) is the exact marginal posterior, and ep makes that one call
+there (it is EP's fixed point).  amp and scalar_amp still run the AMP
 recursion, whose Onsager term was derived for i.i.d. matrices, on this
 orthogonal matrix, and do worse (README.md gives the measured TV).
 
@@ -190,7 +190,7 @@ class _EPWorkspace:
 
 
 def _ep_workspace(cb):
-    """Build _ep_projection's workspace for cb; None when it is elementwise.
+    """Build _ep_projection's workspace for cb, whose n is below its m.
 
     RFP stores the lower triangle of order n as an (n + 1 - n % 2) x
     ceil(n/2) Fortran array whose column j ends with column j of the
@@ -202,8 +202,6 @@ def _ep_workspace(cb):
     them.  The workspace holds 8 n^2 bytes (keys and buffer, 4 n^2 each);
     the mask is freed before the buffer is made (_EP_WORKSPACE_BYTES).
     """
-    if cb.orthonormal_columns:
-        return None
     n, row = cb.n, cb.row_ids
     half, odd = n // 2, n % 2
     keys = np.empty(n * (n + 1) // 2, dtype=np.intp)
@@ -225,10 +223,9 @@ def _positive_definite(info):
 def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
     """Marginal variances/means of N(mu1, Xi1) x N(y'; C k, sigma2 I).
 
-    lin is the likelihood's linear natural parameter C^T y' / sigma2.  When
-    the columns of C are exactly orthonormal (n >= m) the posterior
-    covariance is diagonal and everything is elementwise (work is None).
-    Otherwise the Woodbury identity
+    lin is the likelihood's linear natural parameter C^T y' / sigma2, and
+    n < m (at n >= m, _ep makes one posterior call and no projection).  The
+    Woodbury identity
     (Xi1^{-1} + C^T C / sigma2)^{-1}
         = Xi1 - Xi1 C^T S^{-1} C Xi1,   S = sigma2 I + C Xi1 C^T,
     moves the work to the n side, and C is never materialized: with
@@ -251,10 +248,6 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
     factorization that finds S not positive definite raises
     numpy.linalg.LinAlgError.
     """
-    if work is None:
-        xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
-        mu0_hat = xi0_hat * (eta1 + lin)
-        return xi0_hat, mu0_hat
     n, buf = cb.n, work.buf
     scale2 = cb.scale**2
     # Arithmetic on m-vectors is in place, and one vector holds S's
@@ -304,6 +297,12 @@ def _ep(received, cb, prior, k):
     fails to factor raises numpy.linalg.LinAlgError, which decode reports
     as DecoderDiverged.
 
+    On a codebook with orthonormal columns (n >= m) no site iteration runs:
+    with C^T C = I every projection leaves the cavity at the likelihood
+    N(C^T y', sigma2), so EP's fixed point is the first iteration's one
+    posterior_moments call at xi = sigma2 (clamped like a cavity), and it is
+    yielded at every iteration.
+
     Two safeguards keep the natural parameters in range: a site update
     whose precision would be non-positive resets that site to (near-)flat,
     and a cavity precision that comes out non-positive (possible only
@@ -317,6 +316,12 @@ def _ep(received, cb, prior, k):
     snp = np.sqrt(npw)
     sigma2 = 1.0 / npw  # noise variance of the y' = y/sqrt(nP) model
     lo, hi, damp = XI_FLOOR, VAR_CEILING, EP_DAMPING
+    if cb.orthonormal_columns:
+        xi = np.clip(sigma2, lo, hi)
+        k, v = posterior_moments(adjoint(cb, received.y) / snp, xi, prior)
+        _finite(k, v)
+        while True:
+            yield k, xi, np.linalg.norm(received.y - snp * apply(cb, k))
 
     lin = snp * adjoint(cb, received.y)  # C^T y' / sigma2 = sqrt(nP) C^T y
     work = _ep_workspace(cb)

@@ -6,12 +6,10 @@ sweep.  Each trial draws its own random stream from (seed, trial_index), so
 scenes do not depend on execution order or worker count, and sweeps reuse
 the same trial streams at every swept value (common random numbers — scene
 draws are paired across values).  A decode can depend on the BLAS thread
-count: ep's LAPACK calls round differently on one thread than on two, so
-its k_soft can differ in the last bits between a serial sweep, which keeps
-the caller's BLAS threads, and a pooled one, whose workers run BLAS on one
-thread.  EP amplifies such roundoff, so a rounded estimate, and with it a
-row, can differ too.  Diverged decodes contribute their last finite
-estimate and are counted in the diverged column.
+count (ep's LAPACK calls round differently on one thread than on two), so
+a sweep runs every decode on one BLAS thread, serial or pooled, and its
+results do not depend on the worker count.  Diverged decodes contribute
+their last finite estimate and are counted in the diverged column.
 """
 
 import csv
@@ -230,20 +228,29 @@ def _bundled_openblas():
     return found
 
 
-def _one_blas_thread():
-    """Pool initializer: run every bundled OpenBLAS on one thread.
+def _one_blas_thread(restore=None):
+    """Run every bundled OpenBLAS on one thread (pool initializer and serial
+    sweeps), or on the counts in restore; returns the counts they had.
 
     Forked workers keep the parent's BLAS thread count, so each worker's
     LAPACK calls (EP's Cholesky factor and inverse) would spread over every
-    CPU and the pool would oversubscribe them.  Only the OpenBLAS builds of
-    the numpy and scipy wheels are reached; with a BLAS from elsewhere, set
-    OPENBLAS_NUM_THREADS=1 (or that BLAS's own variable) before starting.
+    CPU and the pool would oversubscribe them; a serial sweep runs on one
+    thread too, so that it does the pool's arithmetic.  Only the OpenBLAS
+    builds of the numpy and scipy wheels are reached; with a BLAS from
+    elsewhere, set OPENBLAS_NUM_THREADS=1 (or that BLAS's own variable)
+    before starting.
     """
-    for lib, suffix in _bundled_openblas():
-        set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
+    libs = _bundled_openblas()
+    before = []
+    for (lib, suffix), count in zip(libs, restore or [1] * len(libs)):
+        symbol = "scipy_openblas_{}_num_threads" + suffix
+        get_threads = getattr(lib, symbol.format("get"))
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads = getattr(lib, symbol.format("set"))
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        before.append(get_threads())
+        set_threads(count)
+    return before
 
 
 def run_sweep(spec, workers=None, log=None):
@@ -251,8 +258,10 @@ def run_sweep(spec, workers=None, log=None):
 
     Each scene is simulated once and decoded by every decoder, and the whole
     sweep shares one pool of `workers` processes (a whole number >= 1,
-    default: the CPU count), capped at the number of scenes, each worker
-    running its BLAS on one thread (see _one_blas_thread).  When spec.out
+    default: the CPU count), capped at the number of scenes.  Every decode
+    runs its BLAS on one thread (see _one_blas_thread), in a pool worker or
+    in this process, which gets its thread count back afterwards; so the
+    results do not depend on the worker count.  When spec.out
     is set, the CSV is written before the first scene and again each time a
     value's scenes are done, so an interrupted run leaves the rows finished
     so far.
@@ -266,7 +275,12 @@ def run_sweep(spec, workers=None, log=None):
     if spec.out:
         _write_csv(spec.out, [])
     if workers <= 1:
-        return _summarize(spec, configs, map(run_trial, *zip(*tasks)), log)
+        threads = _one_blas_thread()
+        try:
+            return _summarize(spec, configs, map(run_trial, *zip(*tasks)),
+                              log)
+        finally:
+            _one_blas_thread(restore=threads)
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=_one_blas_thread) as pool:
         return _summarize(spec, configs, pool.map(run_trial, *zip(*tasks)),

@@ -154,10 +154,6 @@ def copying_ep_projection(cb, work, xi1, eta1, lin, sigma2):
     Each floating-point operation is the one the library does, in the same
     order, so the outputs must be equal, not merely close.
     """
-    if cb.orthonormal_columns:
-        xi0_hat = 1.0 / (1.0 / xi1 + 1.0 / sigma2)
-        mu0_hat = xi0_hat * (eta1 + lin)
-        return xi0_hat, mu0_hat
     n = cb.n
     xor = np.bitwise_xor.outer(cb.row_ids, cb.row_ids)
     scale2 = cb.scale**2

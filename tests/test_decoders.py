@@ -133,8 +133,9 @@ def test_early_stopping_on_settled_estimates():
 
 def test_early_stop_fires_on_consecutive_rounding_repeat(monkeypatch):
     # the scripted estimates round to [1, 2], then [2, 2] (moved), then
-    # [2, 2] again (repeat: settled), so every decoder stops after three
-    cb, prior, _, received = make_instance(2, 2, 5, 3, 0.0, seed=61)
+    # [2, 2] again (repeat: settled), so every decoder stops after three;
+    # n < m, where every decoder iterates
+    cb, prior, _, received = make_instance(1, 2, 5, 3, 0.0, seed=61)
     script = [np.array([1.1, 2.0]), np.array([1.9, 2.1]),
               np.array([2.1, 1.8])]
     for algorithm in ALGORITHMS:
@@ -485,8 +486,28 @@ def test_ep_is_the_exact_posterior_on_orthonormal_columns(n, m, ka, ma,
         if k_hat.sum() == 0:  # decode's fallback
             k_hat[int(np.argmax(exact))] = 1
         report = decode(received, cb, prior, options)
-        assert np.abs(report.k_soft - exact).max() <= 1e-12
+        assert np.array_equal(report.k_soft, exact)
         assert np.array_equal(report.k_hat, k_hat)
+
+
+@pytest.mark.parametrize("n,m", [(16, 16), (64, 32)])
+def test_ep_calls_the_posterior_once_on_orthonormal_columns(n, m,
+                                                            monkeypatch):
+    # the one call is EP's fixed point, so later iterations repeat it
+    cb, prior, _, received = make_instance(n, m, 10, 15, 0.0, seed=61)
+    calls = []
+    moments = tuma.decoders.posterior_moments
+
+    def counted(r, xi, prior):
+        calls.append(np.shape(r))
+        return moments(r, xi, prior)
+
+    monkeypatch.setattr(tuma.decoders, "posterior_moments", counted)
+    options = DecoderOptions(algorithm="ep", max_iters=10, early_stop=False)
+    report = decode(received, cb, prior, options)
+    assert report.iterations_run == 10 and not report.diverged
+    assert calls == [(m,)]
+    assert len(set(report.xi_track)) == len(set(report.residual_track)) == 1
 
 
 # ---------------------------------------------------------------------------

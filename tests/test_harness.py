@@ -200,9 +200,11 @@ def test_decoder_error_stops_a_pooled_sweep(monkeypatch, tmp_path):
     assert len(log.read_text().splitlines()) < 20
 
 
+# a serial sweep runs on one thread too, so that it rounds as the pool does
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched module")
-def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_workers_run_blas_on_one_thread(workers, monkeypatch):
     libs = harness._bundled_openblas()
     assert libs, "no OpenBLAS bundled with numpy or scipy"
 
@@ -221,11 +223,13 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
         blas("set", suffix, lib)(2)
     try:
         rows = run_sweep(SweepSpec(base=TINY, param="bits", values=(3, 4)),
-                         workers=2)
+                         workers=workers)
+        after = threads()
     finally:
         for (lib, suffix), count in zip(libs, before):
             blas("set", suffix, lib)(count)
     assert [row["wp_mean"] for row in rows] == [1.0, 1.0]
+    assert after == [2] * len(libs)  # the caller's count is back
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def test_sweep_spec_values_must_fit_the_param(param, values):
 def test_sweep_spec_accepts_sizes_up_to_the_envelope():
     SweepSpec(base=replace(TINY, m=MAX_M))
     SweepSpec(base=replace(TINY, n=MAX_EP_N, m=2**14), decoders=("ep",))
-    # amp holds no n x n array, and ep's projection is elementwise at n >= m
+    # amp holds no n x n array, and ep makes one posterior call at n >= m
     SweepSpec(base=replace(TINY, n=MAX_EP_N + 1, m=2**14))
     SweepSpec(base=replace(TINY, n=2**14, m=2**14), decoders=("ep",))
 
