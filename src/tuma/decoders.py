@@ -110,9 +110,13 @@ class DecoderDiverged(RuntimeError):
 
 
 def round_estimate(k_soft, ka):
-    """Round half away from zero, then clamp into [0, ka]."""
-    k_soft = np.asarray(k_soft, dtype=float)
-    rounded = np.sign(k_soft) * np.floor(np.abs(k_soft) + 0.5)
+    """Round half away from zero, then clamp into [0, ka].
+
+    On the negative half-line half away from zero and half up differ, but
+    both land at or below 0, where the clamp takes them, so half up alone
+    gives the same integers.
+    """
+    rounded = np.floor(np.asarray(k_soft, dtype=float) + 0.5)
     return np.clip(rounded, 0, ka).astype(np.int64)
 
 
@@ -172,25 +176,17 @@ def _amp(received, cb, prior, k, predicted=False):
         yield k, np.mean(xi), np.linalg.norm(residual)
 
 
-@dataclass(frozen=True, eq=False)
-class _EPWorkspace:
-    """Per-decode key table and scratch buffer of the structured EP projection.
+def _ep_workspace(cb):
+    """Build _ep_projection's workspace for cb, whose n is below its m.
 
-    Both hold the n(n+1)/2 entries of an n x n lower triangle in LAPACK's
-    Rectangular Full Packed order (TRANSR = 'N', UPLO = 'L'):
+    Returns the pair (keys, buf).  Both hold the n(n+1)/2 entries of an
+    n x n lower triangle in LAPACK's Rectangular Full Packed order
+    (TRANSR = 'N', UPLO = 'L'):
 
     keys -- r_a XOR r_b over the kept Sylvester rows, as intp so bincount
             reads them without a copy
     buf  -- float64 buffer that S, its Cholesky factor and S^{-1} take
             turns in
-    """
-
-    keys: np.ndarray
-    buf: np.ndarray
-
-
-def _ep_workspace(cb):
-    """Build _ep_projection's workspace for cb, whose n is below its m.
 
     RFP stores the lower triangle of order n as an (n + 1 - n % 2) x
     ceil(n/2) Fortran array whose column j ends with column j of the
@@ -209,15 +205,26 @@ def _ep_workspace(cb):
     np.bitwise_xor(row[: n - half, None], row, out=rfp[:, 1 - odd:])
     np.bitwise_xor(row[n - half:, None], row[n - half:],
                    out=rfp[odd:, :half], where=np.tri(half, dtype=bool))
-    return _EPWorkspace(keys=keys, buf=np.empty(keys.size))
+    return keys, np.empty(keys.size)
 
 
-def _positive_definite(info):
-    """Raise numpy.linalg.LinAlgError unless a LAPACK pftrf or pftri call
-    succeeded (a factor with a zero pivot makes pftri fail)."""
-    if info != 0:
+def _lapack(routine, *args, **kwargs):
+    """Call one of _ep_projection's RFP routines (pftrf, pftrs, pftri) on
+    the lower triangle and return its array, raising on its info:
+
+      info > 0 -- S is not positive definite (pftrf met a non-positive
+                  pivot, or pftri a zero one): numpy.linalg.LinAlgError,
+                  which decode reports as DecoderDiverged;
+      info < 0 -- argument -info was illegal, a bug: ValueError.
+    """
+    out, info = routine(*args, uplo="L", **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK "
+                         f"{routine.__name__}")
+    if info > 0:
         raise np.linalg.LinAlgError(
             f"EP projection matrix is not positive definite (info={info})")
+    return out
 
 
 def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
@@ -235,20 +242,20 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
         c_i^T S^{-1} c_i  = scale^2 fwht(g)[i],
         g                 = bincount(r_a XOR r_b, weights=S^{-1}[a, b]),
 
-    so S's lower triangle is one FWHT plus a gather through work.keys (key
+    so S's lower triangle is one FWHT plus a gather through the keys (key
     0 is the diagonal and nothing else, so sigma2 goes on the transform's
     entry 0) and the variance diagonal is one more FWHT.  The mean is
     w - xi1 C^T S^{-1} C w with w = xi1 (eta1 + lin).
 
-    The triangle lives in work.buf in RFP order, built once per decode by
-    _ep_workspace: LAPACK pftrf factors it in place, pftrs solves for the
-    mean on that factor, and pftri overwrites the factor with the lower
-    triangle of S^{-1}, which one bincount sums.  Each call costs
-    O(n^3 + m log m) time and allocates O(n + m) beyond the workspace.  A
-    factorization that finds S not positive definite raises
-    numpy.linalg.LinAlgError.
+    work is the pair (keys, buf) that _ep_workspace builds once per decode,
+    and the triangle lives in buf in RFP order: LAPACK pftrf factors it in
+    place, pftrs solves for the mean on that factor, and pftri overwrites
+    the factor with the lower triangle of S^{-1}, which one bincount sums.
+    Each call costs O(n^3 + m log m) time and allocates O(n + m) beyond
+    the workspace.  _lapack checks each routine's status: an S that is not
+    positive definite raises numpy.linalg.LinAlgError.
     """
-    n, buf = cb.n, work.buf
+    n, (keys, buf) = cb.n, work
     scale2 = cb.scale**2
     # Arithmetic on m-vectors is in place, and one vector holds S's
     # distinct entries, then w, then the mean, because at large m each
@@ -256,21 +263,16 @@ def _ep_projection(cb, work, xi1, eta1, lin, sigma2):
     mu0_hat = fwht(xi1)
     mu0_hat *= scale2
     mu0_hat[0] += sigma2
-    np.take(mu0_hat, work.keys, out=buf, mode="clip")  # clip is unbuffered
-    _, info = dpftrf(n, buf, uplo="L", overwrite_a=1)
-    _positive_definite(info)
+    np.take(mu0_hat, keys, out=buf, mode="clip")  # clip is unbuffered
+    _lapack(dpftrf, n, buf, overwrite_a=1)
     np.add(eta1, lin, out=mu0_hat)
     mu0_hat *= xi1  # w
-    solved, info = dpftrs(n, buf, apply(cb, mu0_hat), uplo="L",
-                          overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of pftrs")
-    _, info = dpftri(n, buf, uplo="L", overwrite_a=1)
-    _positive_definite(info)
+    solved = _lapack(dpftrs, n, buf, apply(cb, mu0_hat), overwrite_b=1)
+    _lapack(dpftri, n, buf, overwrite_a=1)
     # r_a XOR r_b and S^{-1} are symmetric and the XOR's diagonal is 0, so
     # g is twice the lower triangle's weighted count less the trace, which
     # is that count's bin 0, and fwht(e_0) is all ones.
-    xi0_hat = np.bincount(work.keys, weights=buf, minlength=cb.m)
+    xi0_hat = np.bincount(keys, weights=buf, minlength=cb.m)
     trace = xi0_hat[0]
     xi0_hat = fwht(xi0_hat)
     xi0_hat *= -2.0 * scale2
@@ -300,8 +302,9 @@ def _ep(received, cb, prior, k):
     On a codebook with orthonormal columns (n >= m) no site iteration runs:
     with C^T C = I every projection leaves the cavity at the likelihood
     N(C^T y', sigma2), so EP's fixed point is the first iteration's one
-    posterior_moments call at xi = sigma2 (clamped like a cavity), and it is
-    yielded at every iteration.
+    posterior_moments call at xi = sigma2 (clamped like a cavity).  That
+    estimate, that xi and its residual, computed once, are yielded at every
+    iteration.
 
     Two safeguards keep the natural parameters in range: a site update
     whose precision would be non-positive resets that site to (near-)flat,
@@ -320,8 +323,9 @@ def _ep(received, cb, prior, k):
         xi = np.clip(sigma2, lo, hi)
         k, v = posterior_moments(adjoint(cb, received.y) / snp, xi, prior)
         _finite(k, v)
+        residual = np.linalg.norm(received.y - snp * apply(cb, k))
         while True:
-            yield k, xi, np.linalg.norm(received.y - snp * apply(cb, k))
+            yield k, xi, residual
 
     lin = snp * adjoint(cb, received.y)  # C^T y' / sigma2 = sqrt(nP) C^T y
     work = _ep_workspace(cb)
@@ -387,7 +391,7 @@ def decode(received, cb, prior, options):
                 break
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         failure = exc
-    k_hat = round_estimate(k_soft, prior.ka)
+    k_hat = round_estimate(k_soft, prior.ka) if rounded is None else rounded
     fallback = k_hat.sum() == 0  # estimated_type needs a nonzero count
     if fallback:
         k_hat[int(np.argmax(k_soft))] = 1

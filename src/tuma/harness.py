@@ -59,6 +59,8 @@ def _check_decoders(decoders):
     names = list(decoders)
     _require(all(names.count(name) == 1 for name in names),
              "decoders must not repeat a name")
+    for name in names:
+        _require(name in ALGORITHMS, f"unknown decoder {name!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,6 @@ class SweepSpec:
         else:
             _require(len(self.values) >= 1, "values must be nonempty")
         _check_decoders(self.decoders)
-        for dec in self.decoders:
-            _require(dec in ALGORITHMS, f"unknown decoder {dec!r}")
         for value in self.values:
             config = derive_config(self.base, self.param, value)
             _require(config.m <= MAX_M,

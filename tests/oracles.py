@@ -251,6 +251,15 @@ def random_measure(rng, max_atoms=4):
     return DiscreteMeasure(counts, rng.random((size, 2)))
 
 
+def half_away_from_zero(k_soft, ka):
+    """tuma.decoders.round_estimate written out: round half away from zero
+    on both half-lines (sign times the rounded magnitude), then clamp into
+    [0, ka]."""
+    k_soft = np.asarray(k_soft, dtype=float)
+    rounded = np.sign(k_soft) * np.floor(np.abs(k_soft) + 0.5)
+    return np.clip(rounded, 0, ka).astype(np.int64)
+
+
 def noiseless_transmit(cb, k, snr_db):
     """Channel output with the noise left out: y = sqrt(n P) C k exactly."""
     power = snr_from_db(snr_db)

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dtrttf
 import tuma.decoders
 from oracles import (copying_ep_projection, dense_codebook,
                      dense_ep_projection, exhaustive_posterior_mean,
-                     noiseless_transmit)
+                     half_away_from_zero, noiseless_transmit)
 from tuma import (ALGORITHMS, ConfigError, DecoderDiverged, DecoderOptions,
                   ReceivedSignal, adjoint, decode, estimated_type,
                   grid_codebook, hadamard_codebook, multiplicity_prior,
@@ -55,6 +55,25 @@ def test_round_estimate_half_away_from_zero():
 def test_round_estimate_clamps_to_range():
     assert np.array_equal(round_estimate(np.array([7.2, -0.6]), 5), [5, 0])
     assert round_estimate(np.array([1.2]), 5).dtype == np.int64
+
+
+# signed zeros, infinities, halves, the largest double below one half and
+# doubles from 2**52 up, where adding 0.5 itself rounds
+_ROUNDING_EDGES = [0.0, -0.0, np.inf, -np.inf, 0.49999999999999994,
+                   -0.49999999999999994, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5,
+                   2.0**52 + 1, -(2.0**52 + 1), 2.0**53 + 1, -(2.0**53 + 1)]
+
+
+@given(soft=st.lists(st.floats(allow_nan=False) | st.floats(-3.0, 2003.0)
+                     | st.sampled_from(_ROUNDING_EDGES), max_size=50),
+       ka=st.sampled_from([1, 5, 50, 2000]))
+@example(soft=_ROUNDING_EDGES, ka=5)
+@example(soft=_ROUNDING_EDGES, ka=2000)
+def test_round_estimate_matches_half_away_from_zero(soft, ka):
+    soft = np.array(soft, dtype=float)
+    got = round_estimate(soft, ka)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, half_away_from_zero(soft, ka))
 
 
 def test_estimated_type_drops_empty_cells():
@@ -157,6 +176,33 @@ def test_early_stop_disabled_runs_full_budget():
     report = decode(received, cb, prior, options)
     assert report.iterations_run == 10
     assert np.array_equal(report.k_hat, k)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_decode_rounds_each_estimate_once(algorithm, monkeypatch):
+    # k_hat is the loop's last rounding; only a first iteration that fails
+    # leaves the prior mean to round after the loop
+    cb, prior, _, received = make_instance(32, 64, 10, 15, 0.0, seed=59)
+    calls = []
+    rounding = tuma.decoders.round_estimate
+
+    def counted(k_soft, ka):
+        calls.append(1)
+        return rounding(k_soft, ka)
+
+    monkeypatch.setattr(tuma.decoders, "round_estimate", counted)
+    options = DecoderOptions(algorithm=algorithm, max_iters=5,
+                             early_stop=False)
+    report = decode(received, cb, prior, options)
+    assert len(calls) == report.iterations_run == 5
+    assert np.array_equal(report.k_hat, rounding(report.k_soft, prior.ka))
+    calls.clear()
+    nan = np.full(cb.m, np.nan)
+    monkeypatch.setattr(tuma.decoders, "posterior_moments",
+                        lambda r, xi, prior: (nan, nan))
+    with pytest.raises(DecoderDiverged):
+        decode(received, cb, prior, options)
+    assert len(calls) == 1
 
 
 def test_tracks_shrink_on_noiseless_decodes():
@@ -318,6 +364,23 @@ def test_ep_non_positive_definite_projection_raises_diverged(factorization,
     assert report.diverged and report.iterations_run == 2
     assert np.array_equal(report.k_soft, first.k_soft)
     assert np.array_equal(report.k_hat, first.k_hat)
+
+
+@pytest.mark.parametrize("routine", ["dpftrf", "dpftrs", "dpftri"])
+def test_ep_illegal_lapack_argument_is_a_bug_not_a_divergence(routine,
+                                                              monkeypatch):
+    # info < 0 names an illegal argument: decode must not report it as
+    # DecoderDiverged, which the harness counts as a result
+    cb, prior, _, received = make_instance(12, 32, 5, 3, 0.0, seed=65)
+    real = getattr(tuma.decoders, routine)
+
+    def illegal(*args, **kwargs):
+        out, _ = real(*args, **kwargs)
+        return out, -1
+
+    monkeypatch.setattr(tuma.decoders, routine, illegal)
+    with pytest.raises(ValueError, match="illegal value in argument 1"):
+        decode(received, cb, prior, DecoderOptions(algorithm="ep"))
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +556,27 @@ def test_ep_is_the_exact_posterior_on_orthonormal_columns(n, m, ka, ma,
 @pytest.mark.parametrize("n,m", [(16, 16), (64, 32)])
 def test_ep_calls_the_posterior_once_on_orthonormal_columns(n, m,
                                                             monkeypatch):
-    # the one call is EP's fixed point, so later iterations repeat it
+    # the one call is EP's fixed point, so later iterations repeat it, and
+    # its residual is transformed once
     cb, prior, _, received = make_instance(n, m, 10, 15, 0.0, seed=61)
-    calls = []
-    moments = tuma.decoders.posterior_moments
+    calls, applies = [], []
+    moments, forward = tuma.decoders.posterior_moments, tuma.decoders.apply
 
     def counted(r, xi, prior):
         calls.append(np.shape(r))
         return moments(r, xi, prior)
 
+    def counted_apply(cb, x):
+        applies.append(x.shape)
+        return forward(cb, x)
+
     monkeypatch.setattr(tuma.decoders, "posterior_moments", counted)
+    monkeypatch.setattr(tuma.decoders, "apply", counted_apply)
     options = DecoderOptions(algorithm="ep", max_iters=10, early_stop=False)
     report = decode(received, cb, prior, options)
     assert report.iterations_run == 10 and not report.diverged
     assert calls == [(m,)]
+    assert applies == [(m,)]
     assert len(set(report.xi_track)) == len(set(report.residual_track)) == 1
 
 
@@ -603,12 +673,12 @@ def test_ep_projection_memory_is_bounded_at_largest_size():
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 250, 251, 1024])
 def test_ep_workspace_keys_are_the_rfp_packed_xor_table(n):
     cb = hadamard_codebook(n, 4096)
-    work = tuma.decoders._ep_workspace(cb)
+    keys, buf = tuma.decoders._ep_workspace(cb)
     table = np.bitwise_xor.outer(cb.row_ids, cb.row_ids).astype(float)
     expected, info = dtrttf(table, uplo="L")  # keys < 2**53 are exact
     assert info == 0
-    assert work.keys.dtype == np.intp and work.buf.shape == work.keys.shape
-    assert np.array_equal(work.keys, expected)
+    assert keys.dtype == np.intp and buf.shape == keys.shape
+    assert np.array_equal(keys, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +702,8 @@ def test_ep_projection_is_bit_identical_to_copying_projection(
         geometry, exponents, sigma2_db, seed):
     n, m = geometry
     cb = hadamard_codebook(n, m)
-    work = tuma.decoders._ep_workspace(cb)
-    work.buf.fill(np.nan)  # the projection must read only what it writes
+    _, buf = work = tuma.decoders._ep_workspace(cb)
+    buf.fill(np.nan)  # the projection must read only what it writes
     rng = np.random.default_rng(seed)
     xi1 = 10.0 ** rng.uniform(min(exponents), max(exponents), m)
     sigma2 = 10.0 ** (sigma2_db / 10)

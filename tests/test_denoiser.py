@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tuma.denoiser
 from oracles import mp_posterior, posterior_mean_deriv, reference_tilted
 from tuma import (ConfigError, CountPrior, multiplicity_prior,
                   posterior_moments)
@@ -329,6 +330,39 @@ def test_posterior_does_not_depend_on_block_boundaries():
             r[pair], xi if np.ndim(xi) == 0 else xi[pair], prior)
         assert np.array_equal(mean_pair, mean[pair])
         assert np.array_equal(var_pair, var[pair])
+
+
+# decoders._amp forms scalar_amp's predicted xi as an m-vector of one value
+# and states that a scalar xi gives the same moments bit for bit.  At a
+# realistic xi the blocks are wide; at xi = 100 every window is the whole
+# support, so 2 blocks + 1 coordinates leave a one-column last block.
+@pytest.mark.parametrize("case", ["realistic", "one-column-tail"])
+@pytest.mark.parametrize("ka,ma,m,xi", [(50, 150, 1024, 0.3),
+                                        (100, 10, 2**14, 1.5)],
+                         ids=["crowded", "bits14"])
+def test_scalar_xi_gives_the_moments_of_a_constant_vector(ka, ma, m, xi,
+                                                          case, monkeypatch):
+    prior = multiplicity_prior(ka, ma, m)
+    rng = np.random.default_rng(71)
+    if case == "realistic":
+        k = rng.choice(prior.ka + 1, size=m, p=prior.pmf)
+        r = k + np.sqrt(xi) * rng.normal(size=m)
+    else:
+        xi = 100.0
+        r = rng.uniform(-5.0, ka + 5.0, 2 * _block_cols(prior) + 1)
+    widths = []
+    sum_counts = tuma.denoiser._sum_counts
+
+    def recorded(a):
+        widths.append(a.shape[1])
+        return sum_counts(a)
+
+    monkeypatch.setattr(tuma.denoiser, "_sum_counts", recorded)
+    scalar = posterior_moments(r, xi, prior)
+    assert (widths[-1] == 1) == (case == "one-column-tail")
+    vector = posterior_moments(r, np.full(r.size, xi), prior)
+    assert np.array_equal(scalar[0], vector[0])
+    assert np.array_equal(scalar[1], vector[1])
 
 
 _UNIFORM = CountPrior(pmf=np.full(41, 1.0 / 41), ka=40)

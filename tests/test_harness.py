@@ -57,6 +57,16 @@ def test_an_empty_decoder_list_is_refused():
         run_trial(TINY, (), 0)
 
 
+def test_an_unknown_decoder_is_refused_before_any_decode(monkeypatch):
+    decodes = _count_calls(monkeypatch, "decode")
+    scenes = _count_calls(monkeypatch, "draw_targets")
+    with pytest.raises(ConfigError, match="unknown decoder 'nope'"):
+        SweepSpec(base=TINY, decoders=("amp", "nope"))
+    with pytest.raises(ConfigError, match="unknown decoder 'nope'"):
+        run_trial(TINY, ("amp", "nope"), 0)
+    assert decodes == [] and scenes == []
+
+
 def test_trials_are_independent_of_execution_order():
     forward = [run_trial(TINY, ("amp",), t)[0] for t in range(4)]
     backward = [run_trial(TINY, ("amp",), t)[0] for t in (3, 2, 1, 0)]
